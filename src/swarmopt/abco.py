@@ -56,11 +56,11 @@ class AbcoConfig:
 
     size: population size.
     iterations: iteration budget.
-    step_size: tumble displacement and cap on directed moves.
+    step_size: tumble displacement and cap on exploit moves.
     explore_steps: explore passes per iteration.
     exploit_steps: exploit passes per iteration.
     tumble_steps: tumble rounds per explore pass.
-    improvement_threshold: minimum gain before the directed step fires.
+    improvement_threshold: minimum gain counted as a directed step.
     survivor_fraction: fraction of the population retained at reproduction.
     neighbor_count: neighbours considered for exploitation and regeneration.
     generation_gap: percent of the budget between stagnation checkpoints.
@@ -189,13 +189,13 @@ def move_toward(current, target, step_size: float) -> np.ndarray:
 
 
 def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
-    """Random-walk passes with personal-best tracking and threshold gating.
+    """Random-walk passes with personal-best tracking.
 
     Per member per tumble round: tumble, evaluate, measure the gain against
-    the personal best before touching it, record any strict gain as the new
-    personal best, and when the gain beats improvement_threshold take one
-    directed step toward the personal best. A non-finite evaluation rolls
-    the member back to where the round started.
+    the personal best before touching it, and record any strict gain as the
+    new personal best. A gain above improvement_threshold is counted as a
+    directed step. A non-finite evaluation rolls the member back to where
+    the round started.
     """
     mode = cfg.mode
     diagnostics = state.diagnostics
@@ -215,16 +215,10 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                     member.best_solution = value
                     member.best_position = moved.copy()
                 if gain > cfg.improvement_threshold:
-                    # The gate can only fire right after the personal best
-                    # moved to the current position, so the directed step
-                    # has nowhere to go; it is still counted because the
-                    # threshold crossing itself is what the gate observes.
+                    # The crossing is counted but moves nothing: it fires only
+                    # when the personal best has just moved to the current
+                    # position, so a directed step there would stay put.
                     diagnostics["directed_steps"] = diagnostics.get("directed_steps", 0) + 1
-                    stepped = move_toward(member.position, member.best_position, cfg.step_size)
-                    if not np.array_equal(stepped, member.position):
-                        member.position = repair_bounds(stepped, space, rng)
-                        member.solution = float(objective(member.position))
-                        state.evaluations += 1
     return state
 
 
@@ -301,13 +295,15 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
             weight_total = neighbour_count * (neighbour_count + 1) / 2.0
             for i in range(needed):
                 guide_index = i % retained
-                chosen = sorted(
-                    (j for j in range(retained) if j != guide_index),
-                    key=lambda j: (abs(j - guide_index), j),
-                )[:neighbour_count]
-                # ranked[] is already best-first, so ascending index is
-                # ascending solution rank within the chosen neighbours.
-                chosen.sort()
+                # The neighbour_count ranks nearest the guide, ties toward the
+                # better side: a window of neighbour_count + 1 consecutive
+                # ranks holding the guide, shifted to fit inside the
+                # survivors. ranked[] is best-first, so the window is in
+                # ascending solution rank.
+                start = min(max(guide_index - (neighbour_count + 1) // 2, 0),
+                            retained - 1 - neighbour_count)
+                chosen = [j for j in range(start, start + neighbour_count + 1)
+                          if j != guide_index]
                 position = np.zeros(space.dim)
                 for rank, neighbour_index in enumerate(chosen, start=1):
                     weight = (neighbour_count - rank + 1) / weight_total
