@@ -360,8 +360,8 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
 
     `objective` is an ObjectiveSpec; its evaluator and space drive the run
     while cfg.mode decides the direction of improvement. The global best
-    starts from the seeded population and is refreshed after reproduction
-    each iteration.
+    starts from the seeded population and is refreshed before and after
+    reproduction each iteration, so it is the best value ever evaluated.
     """
     started = time.perf_counter()
     space = objective.space
@@ -383,6 +383,9 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
         state.iteration = iteration
         explore_stage(state, cfg, evaluator, space, rng)
         exploit_stage(state, cfg, evaluator, space, rng)
+        # Reproduction culls by current value, which can drop the member
+        # holding the best personal record, so record it first.
+        _refresh_global_best(state, mode)
         reproduce_stage(state, cfg, evaluator, space, rng)
         _refresh_global_best(state, mode)
         state.diagnostics["best_history"].append(state.global_best_value)

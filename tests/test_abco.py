@@ -1,6 +1,7 @@
 """Colony optimizer stages, configuration arithmetic, early stopping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,16 +17,18 @@ from swarmopt.abco import (
     run_abco,
     tumble_step,
 )
-from swarmopt.benchmarks import spec_of
+from swarmopt.benchmarks import list_functions, spec_of
 from swarmopt.core import (
     Bacterium,
     ConfigurationError,
     OptimizationMode,
     RngStream,
     SearchSpace,
+    derive_seed,
     quality_key,
     seed_population,
 )
+from swarmopt.harness import ABCO_KEYS, abco_preset
 
 SPACE = SearchSpace(2, -5.0, 5.0)
 
@@ -402,3 +405,25 @@ def test_run_abco_max_mode_negates_min_mode():
     assert high.best_value == pytest.approx(-low.best_value)
     assert np.array_equal(high.best_position, low.best_position)
     assert high.iterations_executed == low.iterations_executed
+
+
+def test_run_abco_reports_the_best_value_it_evaluated():
+    # Reproduction culls by current value; a member holding the best
+    # personal record must not take that record with it.
+    runs = [(fn, 10, 30, derive_seed(0, fn, "abco", i))
+            for fn in list_functions() for i in range(4)]
+    runs.append(("easom", 25, 100, 17650024986009573162))
+    for function_id, size, iterations, seed in runs:
+        spec = spec_of(function_id)
+        lowest = [math.inf]
+
+        def observed(point, inner=spec.evaluator):
+            value = inner(point)
+            if math.isfinite(value):
+                lowest[0] = min(lowest[0], value)
+            return value
+
+        preset = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
+        cfg = AbcoConfig(**preset, size=size, iterations=iterations)
+        result = run_abco(replace(spec, evaluator=observed), cfg, RngStream(seed))
+        assert result.best_value == lowest[0], (function_id, size, seed)
