@@ -19,16 +19,21 @@ import numpy as np
 
 from .core import (
     Bacterium,
-    ConfigurationError,
     OptimizationMode,
     OptimizerResult,
     RngStream,
     SearchSpace,
+    at_least,
     better_than,
+    check_fields,
     k_nearest,
+    non_negative,
+    param,
+    positive,
     quality_key,
     repair_bounds,
     seed_population,
+    up_to,
 )
 
 __all__ = [
@@ -68,53 +73,23 @@ class AbcoConfig:
     mode: whether smaller or larger objective values win.
     """
 
-    size: int = 25
-    iterations: int = 100
-    step_size: float = 1.0
-    explore_steps: int = 4
-    exploit_steps: int = 1
-    tumble_steps: int = 1
-    improvement_threshold: float = 0.05
-    survivor_fraction: float = 0.8
-    neighbor_count: int = 2
-    generation_gap: float = 25.0
-    unchanged_threshold: float = 80.0
+    size: int = param(25, key="size", check=at_least(1))
+    iterations: int = param(100, check=at_least(1))
+    step_size: float = param(1.0, key="N_s", check=positive)
+    explore_steps: int = param(4, key="N_explor", check=at_least(1))
+    exploit_steps: int = param(1, key="N_explt", check=non_negative)
+    tumble_steps: int = param(1, key="N_tum", check=at_least(1))
+    improvement_threshold: float = param(0.05, key="e", check=non_negative)
+    survivor_fraction: float = param(0.8, key="s", check=up_to(1))
+    neighbor_count: int = param(2, key="k", check=at_least(1))
+    generation_gap: float = param(25.0, key="generation_gap", check=up_to(100))
+    unchanged_threshold: float = param(80.0, key="unchanged_threshold", check=up_to(100))
     mode: OptimizationMode = OptimizationMode.MIN
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = OptimizationMode(self.mode)
-        _require(self.size >= 1, "size", self.size, "at least 1")
-        _require(self.iterations >= 1, "iterations", self.iterations, "at least 1")
-        _require(self.step_size > 0, "step_size", self.step_size, "positive")
-        _require(self.explore_steps >= 1, "explore_steps", self.explore_steps, "at least 1")
-        _require(self.exploit_steps >= 0, "exploit_steps", self.exploit_steps, "non-negative")
-        _require(self.tumble_steps >= 1, "tumble_steps", self.tumble_steps, "at least 1")
-        _require(
-            self.improvement_threshold >= 0,
-            "improvement_threshold",
-            self.improvement_threshold,
-            "non-negative",
-        )
-        _require(
-            0 < self.survivor_fraction <= 1,
-            "survivor_fraction",
-            self.survivor_fraction,
-            "in (0, 1]",
-        )
-        _require(self.neighbor_count >= 1, "neighbor_count", self.neighbor_count, "at least 1")
-        _require(
-            0 < self.generation_gap <= 100,
-            "generation_gap",
-            self.generation_gap,
-            "in (0, 100]",
-        )
-        _require(
-            0 < self.unchanged_threshold <= 100,
-            "unchanged_threshold",
-            self.unchanged_threshold,
-            "in (0, 100]",
-        )
+        check_fields(type(self), vars(self))
 
     @property
     def survivor_count(self) -> int:
@@ -125,11 +100,6 @@ class AbcoConfig:
     def checkpoint_period(self) -> int:
         """Iterations between stagnation checks."""
         return max(1, _round_half_up(self.generation_gap / 100.0 * self.iterations))
-
-
-def _require(condition: bool, name: str, value, expectation: str):
-    if not condition:
-        raise ConfigurationError(f"{name} must be {expectation}, got {value}")
 
 
 @dataclass

@@ -26,7 +26,11 @@ from .core import (
     OptimizationMode,
     OptimizerResult,
     RngStream,
+    at_least,
     better_than,
+    check_fields,
+    param,
+    positive,
     quality_key,
     repair_bounds,
 )
@@ -42,11 +46,6 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, name: str, value, expectation: str):
-    if not condition:
-        raise ConfigurationError(f"{name} must be {expectation}, got {value}")
-
-
 @dataclass
 class PsoConfig:
     """Global-best particle swarm tunables.
@@ -55,27 +54,15 @@ class PsoConfig:
     iteration to inertia_min at the last one.
     """
 
-    size: int = 25
-    iterations: int = 100
-    local_coefficient: float = 1.9
-    global_coefficient: float = 1.9
-    inertia_min: float = 0.4
-    inertia_max: float = 0.5
+    size: int = param(25, key="size", check=at_least(1))
+    iterations: int = param(100, check=at_least(1))
+    local_coefficient: float = param(1.9, key="c1", check=positive)
+    global_coefficient: float = param(1.9, key="c2", check=positive)
+    inertia_min: float = param(0.4, key="w_min", check=positive)
+    inertia_max: float = param(0.5, key="w_max", check=at_least("inertia_min"))
 
     def __post_init__(self):
-        _require(self.size >= 1, "size", self.size, "at least 1")
-        _require(self.iterations >= 1, "iterations", self.iterations, "at least 1")
-        _require(self.local_coefficient > 0, "local_coefficient", self.local_coefficient, "positive")
-        _require(
-            self.global_coefficient > 0, "global_coefficient", self.global_coefficient, "positive"
-        )
-        _require(self.inertia_min > 0, "inertia_min", self.inertia_min, "positive")
-        _require(
-            self.inertia_max >= self.inertia_min,
-            "inertia_max",
-            self.inertia_max,
-            f"at least inertia_min ({self.inertia_min})",
-        )
+        check_fields(type(self), vars(self))
 
 
 @dataclass
@@ -88,19 +75,14 @@ class AcorConfig:
     distances into per-coordinate sampling deviations.
     """
 
-    size: int = 25
-    iterations: int = 100
-    sample_count: int | None = None
-    intent_factor: float = 0.5
-    deviation_ratio: float = 1.0
+    size: int = param(25, key="size", check=at_least(2))
+    iterations: int = param(100, check=at_least(1))
+    sample_count: int | None = param(None, key="sample_count", check=at_least(1))
+    intent_factor: float = param(0.5, key="intent_factor", check=positive)
+    deviation_ratio: float = param(1.0, key="zeta", check=positive)
 
     def __post_init__(self):
-        _require(self.size >= 2, "size", self.size, "at least 2")
-        _require(self.iterations >= 1, "iterations", self.iterations, "at least 1")
-        if self.sample_count is not None:
-            _require(self.sample_count >= 1, "sample_count", self.sample_count, "at least 1")
-        _require(self.intent_factor > 0, "intent_factor", self.intent_factor, "positive")
-        _require(self.deviation_ratio > 0, "deviation_ratio", self.deviation_ratio, "positive")
+        check_fields(type(self), vars(self))
 
     @property
     def resolved_sample_count(self) -> int:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "ConfigurationError",
+    "param",
+    "check_fields",
     "UnknownFunctionError",
     "EmptyNeighbourhoodError",
     "OptimizationMode",
@@ -38,6 +40,60 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """A parameter value is outside its documented range."""
+
+
+def param(default, *, key: str | None = None, check=None):
+    """A config dataclass field declared with its config-file key and check.
+
+    `key` is how a config file or `--param` spells the field; a field
+    without one cannot be set from a config block. `check` is one of the
+    checks below and is run by check_fields.
+    """
+    metadata = {"check": check}
+    if key is not None:
+        metadata["key"] = key
+    return field(default=default, metadata=metadata)
+
+
+def at_least(bound):
+    """Check value >= bound; a str bound names another field of the config."""
+    def check(value, values, spell):
+        if isinstance(bound, str):
+            return value >= values[bound], f"at least {spell(bound)} ({values[bound]})"
+        return value >= bound, f"at least {bound}"
+    return check
+
+
+def up_to(high):
+    """Check 0 < value <= high."""
+    return lambda value, values, spell: (0 < value <= high, f"in (0, {high}]")
+
+
+def positive(value, values, spell):
+    return value > 0, "positive"
+
+
+def non_negative(value, values, spell):
+    return value >= 0, "non-negative"
+
+
+def check_fields(cls, values: dict, spell=lambda name: name) -> None:
+    """Run the checks declared on the fields of config dataclass `cls`.
+
+    `values` maps every field name to its value. Fields are checked in
+    declaration order, and the first failure raises ConfigurationError
+    naming the field through `spell`, so a caller can report the key the
+    user wrote. A None value passes where the field's default is None.
+    """
+    for declared in fields(cls):
+        value = values[declared.name]
+        check = declared.metadata.get("check")
+        if check is None or (value is None and declared.default is None):
+            continue
+        holds, expectation = check(value, values, spell)
+        if not holds:
+            raise ConfigurationError(
+                f"{spell(declared.name)} must be {expectation}, got {value}")
 
 
 class UnknownFunctionError(LookupError):

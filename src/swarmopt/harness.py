@@ -21,8 +21,9 @@ experiment_id and base_seed optional):
                         stress-test experiment shrinks sphere to 15 while the
                         baselines keep their own sizes)
 
-Config files keep the short parameter spellings used in the literature; they
-are translated to the descriptive dataclass field names on load. Three
+Config files keep the short parameter spellings used in the literature; each
+optimizer config field declares its spelling and range check, and load_config
+translates to the descriptive field names and reports errors by spelling. Three
 configs ship with the package (experiment1/2/3: all algorithms at population
 100, all at 25, and colony 25 vs baselines 100) along with per-function
 colony presets.
@@ -43,7 +44,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -52,7 +53,7 @@ import numpy as np
 from .abco import AbcoConfig, run_abco
 from .baselines import AcorConfig, PsoConfig, run_acor, run_pso
 from .benchmarks import list_functions, spec_of
-from .core import ConfigurationError, RngStream, derive_seed, error_rate
+from .core import ConfigurationError, RngStream, check_fields, derive_seed, error_rate
 
 __all__ = [
     "ExperimentConfig",
@@ -68,48 +69,19 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = (
-    "experiment_id,function,algorithm,pop_size,run_index,seed,best_value,"
-    "true_minimum,error,evaluations,iterations_executed,early_stopped,"
-    "runtime_seconds"
-)
-
 ALGORITHMS = ("abco", "pso", "aco")
 
 BUNDLED_EXPERIMENTS = ("experiment1", "experiment2", "experiment3")
 
-# Config-file spelling -> dataclass field, per algorithm block.
-ABCO_KEYS = {
-    "N_s": "step_size",
-    "N_explor": "explore_steps",
-    "N_explt": "exploit_steps",
-    "N_tum": "tumble_steps",
-    "e": "improvement_threshold",
-    "s": "survivor_fraction",
-    "k": "neighbor_count",
-    "generation_gap": "generation_gap",
-    "unchanged_threshold": "unchanged_threshold",
-    "size": "size",
-}
-PSO_KEYS = {
-    "c1": "local_coefficient",
-    "c2": "global_coefficient",
-    "w_min": "inertia_min",
-    "w_max": "inertia_max",
-    "size": "size",
-}
-ACO_KEYS = {
-    "sample_count": "sample_count",
-    "intent_factor": "intent_factor",
-    "zeta": "deviation_ratio",
-    "size": "size",
-}
+_CONFIG_CLASSES = {"abco": AbcoConfig, "pso": PsoConfig, "aco": AcorConfig}
 
-_FIELD_TO_KEY = {
-    "abco": {v: k for k, v in ABCO_KEYS.items()},
-    "pso": {v: k for k, v in PSO_KEYS.items()},
-    "aco": {v: k for k, v in ACO_KEYS.items()},
+# Config-file key -> dataclass field, per config class, read off the keys
+# the fields declare.
+_FIELDS = {
+    cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
+    for cls in _CONFIG_CLASSES.values()
 }
+ABCO_KEYS = {key: f.name for key, f in _FIELDS[AbcoConfig].items()}
 
 
 @dataclass
@@ -154,6 +126,12 @@ class RunRecord:
     failed: bool = field(default=False, compare=False)
 
 
+# One records-CSV column per RunRecord field, in declaration order.
+_CSV_FIELDS = [f for f in fields(RunRecord) if f.name != "failed"]
+CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
+_CSV_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
+
+
 @dataclass
 class StatsSummary:
     best: float
@@ -195,40 +173,34 @@ def abco_preset(function_id: str) -> dict:
     return _load_preset(f"abco/{function_id}.json")
 
 
-def _require_number(location: str, path: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{location}: {path} expects a number, got {value!r}")
-
-
-def _check_block(location: str, name: str, block, keys) -> dict:
+def _check_block(location: str, name: str, block, cls) -> dict:
     """Validate one algorithm block's keys and value types."""
     if not isinstance(block, dict):
         raise ConfigurationError(f"{location}: {name} must be an object")
     for key, value in block.items():
-        if key not in keys:
+        declared = _FIELDS[cls].get(key)
+        if declared is None:
             raise ConfigurationError(f"{location}: unknown key {name}.{key}")
-        if key == "sample_count" and value is None:
+        if value is None and declared.default is None:
             continue
-        _require_number(location, f"{name}.{key}", value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"{location}: {name}.{key} expects a number, got {value!r}")
     return dict(block)
 
 
-def _translate(block: dict, keys: dict) -> dict:
-    return {keys[k]: v for k, v in block.items()}
-
-
-def _build(cls, kwargs, algorithm: str, prefix: str, location: str):
-    """Construct an optimizer config, renaming validation errors back to
-    the config-file spelling so the user sees the key they wrote."""
+def _build(cls, block: dict, location: str, prefix: str, **fixed):
+    """Construct `cls` from a checked block in config spelling plus `fixed`
+    field values. A range error names the key the user wrote."""
+    kwargs = {_FIELDS[cls][key].name: value for key, value in block.items()}
+    kwargs.update(fixed)
+    declared = {f.name: f for f in fields(cls)}
+    values = {name: f.default for name, f in declared.items()} | kwargs
     try:
-        return cls(**kwargs)
+        check_fields(cls, values, lambda name: declared[name].metadata.get("key", name))
     except ConfigurationError as exc:
-        message = str(exc)
-        field_name, _, rest = message.partition(" ")
-        key = _FIELD_TO_KEY[algorithm].get(field_name, field_name)
-        for name, spelling in _FIELD_TO_KEY[algorithm].items():
-            rest = rest.replace(name, spelling)
-        raise ConfigurationError(f"{location}: {prefix}{key} {rest}") from None
+        raise ConfigurationError(f"{location}: {prefix}{exc}") from None
+    return cls(**kwargs)
 
 
 def _positive_int(location: str, key: str, value, *, minimum=1) -> int:
@@ -310,38 +282,24 @@ def load_config(source) -> ExperimentConfig:
     abco_raw = raw.get("abco", {})
     if not isinstance(abco_raw, dict):
         raise ConfigurationError(f"{location}: abco must be an object")
-    flat = {}
-    per_function = {}
-    for key, value in abco_raw.items():
-        if key in ABCO_KEYS:
-            _require_number(location, f"abco.{key}", value)
-            flat[key] = value
-        elif key in set(list_functions()):
-            per_function[key] = _check_block(location, f"abco.{key}", value, ABCO_KEYS)
-        else:
-            raise ConfigurationError(f"{location}: unknown key abco.{key}")
+    known = set(list_functions())
+    flat = _check_block(location, "abco",
+                        {k: v for k, v in abco_raw.items() if k not in known}, AbcoConfig)
+    per_function = {fn: _check_block(location, f"abco.{fn}", block, AbcoConfig)
+                    for fn, block in abco_raw.items() if fn in known}
 
     abco_configs = {}
     for fn in functions:
-        merged = abco_preset(fn)
-        merged.update(flat)
-        merged.update(per_function.get(fn, {}))
+        merged = {**abco_preset(fn), **flat, **per_function.get(fn, {})}
         if fn in overrides:
             merged["size"] = overrides[fn]
         prefix = f"abco.{fn}." if fn in per_function else "abco."
-        kwargs = _translate(merged, ABCO_KEYS)
-        kwargs["iterations"] = iterations
-        abco_configs[fn] = _build(AbcoConfig, kwargs, "abco", prefix, location)
+        abco_configs[fn] = _build(AbcoConfig, merged, location, prefix, iterations=iterations)
 
-    pso_kwargs = _translate(
-        _check_block(location, "pso", raw.get("pso", {}), PSO_KEYS), PSO_KEYS)
-    pso_kwargs["iterations"] = iterations
-    pso_config = _build(PsoConfig, pso_kwargs, "pso", "pso.", location)
-
-    aco_kwargs = _translate(
-        _check_block(location, "aco", raw.get("aco", {}), ACO_KEYS), ACO_KEYS)
-    aco_kwargs["iterations"] = iterations
-    aco_config = _build(AcorConfig, aco_kwargs, "aco", "aco.", location)
+    pso_block = _check_block(location, "pso", raw.get("pso", {}), PsoConfig)
+    pso_config = _build(PsoConfig, pso_block, location, "pso.", iterations=iterations)
+    aco_block = _check_block(location, "aco", raw.get("aco", {}), AcorConfig)
+    aco_config = _build(AcorConfig, aco_block, location, "aco.", iterations=iterations)
 
     return ExperimentConfig(
         experiment_id=experiment_id,
@@ -366,42 +324,38 @@ _RUNNERS = {"abco": run_abco, "pso": run_pso, "aco": run_acor}
 def _execute_run(task) -> RunRecord:
     experiment_id, function_id, algorithm_id, run_index, seed, cfg = task
     objective = spec_of(function_id)
+    failed = RunRecord(
+        experiment_id=experiment_id,
+        function=function_id,
+        algorithm=algorithm_id,
+        pop_size=cfg.size,
+        run_index=run_index,
+        seed=seed,
+        best_value=float("nan"),
+        true_minimum=objective.known_minimum,
+        error=float("nan"),
+        evaluations=0,
+        iterations_executed=0,
+        early_stopped=False,
+        runtime_seconds=0.0,
+        failed=True,
+    )
     try:
         result = _RUNNERS[algorithm_id](objective, cfg, RngStream(seed))
-        return RunRecord(
-            experiment_id=experiment_id,
-            function=function_id,
-            algorithm=algorithm_id,
-            pop_size=cfg.size,
-            run_index=run_index,
-            seed=seed,
+        return replace(
+            failed,
             best_value=result.best_value,
-            true_minimum=objective.known_minimum,
             error=error_rate(result.best_value, objective.known_minimum),
             evaluations=result.evaluations,
             iterations_executed=result.iterations_executed,
             early_stopped=result.early_stopped,
             runtime_seconds=result.runtime_seconds,
+            failed=False,
         )
     except Exception as exc:  # noqa: BLE001 - one bad run must not kill the sweep
         print(f"warning: {function_id}/{algorithm_id} run {run_index} failed: {exc}",
               file=sys.stderr)
-        return RunRecord(
-            experiment_id=experiment_id,
-            function=function_id,
-            algorithm=algorithm_id,
-            pop_size=cfg.size,
-            run_index=run_index,
-            seed=seed,
-            best_value=float("nan"),
-            true_minimum=objective.known_minimum,
-            error=float("nan"),
-            evaluations=0,
-            iterations_executed=0,
-            early_stopped=False,
-            runtime_seconds=0.0,
-            failed=True,
-        )
+        return failed
 
 
 def _cell_config(cfg: ExperimentConfig, function_id: str, algorithm_id: str):
@@ -476,17 +430,13 @@ def write_results(records, out_path) -> None:
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow([
-                r.experiment_id, r.function, r.algorithm, r.pop_size,
-                r.run_index, r.seed, _format_value(r.best_value),
-                _format_value(r.true_minimum), _format_value(r.error),
-                r.evaluations, r.iterations_executed,
-                _format_value(r.early_stopped), _format_value(r.runtime_seconds),
-            ])
+        for record in records:
+            writer.writerow([_format_value(getattr(record, f.name)) for f in _CSV_FIELDS])
 
 
 def read_results(in_path) -> list[RunRecord]:
+    """Records from a CSV written by write_results; a malformed row raises
+    ValueError naming the file and line."""
     in_path = Path(in_path)
     with open(in_path, newline="") as handle:
         reader = csv.reader(handle)
@@ -495,23 +445,17 @@ def read_results(in_path) -> list[RunRecord]:
             raise ValueError(f"{in_path.name}: unrecognised results header")
         records = []
         for row in reader:
-            best_value = float(row[6])
-            records.append(RunRecord(
-                experiment_id=row[0],
-                function=row[1],
-                algorithm=row[2],
-                pop_size=int(row[3]),
-                run_index=int(row[4]),
-                seed=int(row[5]),
-                best_value=best_value,
-                true_minimum=float(row[7]),
-                error=float(row[8]),
-                evaluations=int(row[9]),
-                iterations_executed=int(row[10]),
-                early_stopped=row[11] == "true",
-                runtime_seconds=float(row[12]),
-                failed=math.isnan(best_value),
-            ))
+            where = f"{in_path.name}:{reader.line_num}"
+            if len(row) != len(_CSV_FIELDS):
+                raise ValueError(f"{where}: expected {len(_CSV_FIELDS)} fields, got {len(row)}")
+            values = {}
+            for declared, text in zip(_CSV_FIELDS, row):
+                try:
+                    values[declared.name] = _CSV_PARSERS[declared.type](text)
+                except ValueError:
+                    raise ValueError(f"{where}: {declared.name} expects "
+                                     f"{declared.type}, got {text!r}") from None
+            records.append(RunRecord(**values, failed=math.isnan(values["best_value"])))
     return records
 
 
@@ -609,28 +553,18 @@ def _parse_param(text: str) -> tuple[str, object]:
 def _single_cell_config(algorithm: str, function: str, args) -> object:
     """Resolve the optimizer config for the `run` subcommand: bundled
     preset (colony) or defaults, then --pop-size/--iters/--param."""
+    cls = _CONFIG_CLASSES[algorithm]
     overrides = dict(_parse_param(p) for p in args.param or [])
     if args.pop_size is not None:
         overrides["size"] = args.pop_size
-
-    if algorithm == "abco":
-        keys, cls = ABCO_KEYS, AbcoConfig
-        merged = abco_preset(function)
-    elif algorithm == "pso":
-        keys, cls = PSO_KEYS, PsoConfig
-        merged = {}
-    else:
-        keys, cls = ACO_KEYS, AcorConfig
-        merged = {}
-    for key, value in overrides.items():
-        if key not in keys:
+    for key in overrides:
+        if key not in _FIELDS[cls]:
             raise ConfigurationError(
                 f"unknown parameter {key!r} for {algorithm} "
-                f"(valid: {', '.join(sorted(keys))})")
-        merged[key] = value
-    kwargs = _translate(merged, keys)
-    kwargs["iterations"] = args.iters
-    return _build(cls, kwargs, algorithm, f"{algorithm}.", "run")
+                f"(valid: {', '.join(sorted(_FIELDS[cls]))})")
+    block = abco_preset(function) if algorithm == "abco" else {}
+    block.update(_check_block("run", algorithm, overrides, cls))
+    return _build(cls, block, "run", f"{algorithm}.", iterations=args.iters)
 
 
 def _cmd_list(_args) -> int:

@@ -338,6 +338,25 @@ def test_read_results_rejects_foreign_headers(tmp_path):
         read_results(path)
 
 
+def test_read_results_names_the_malformed_line(tmp_path):
+    record = fabricated_records()[0]
+    good = tmp_path / "good.csv"
+    write_results([record], good)
+    header, row = good.read_text().splitlines()
+
+    short = tmp_path / "bad.csv"
+    short.write_text(f"{header}\n{row}\n1,2,3,4\n")
+    with pytest.raises(ValueError, match=r"^bad\.csv:3: expected 13 fields, got 4$"):
+        read_results(short)
+
+    fields = row.split(",")
+    fields[3] = "many"
+    wordy = tmp_path / "wordy.csv"
+    wordy.write_text(f"{header}\n{','.join(fields)}\n")
+    with pytest.raises(ValueError, match=r"^wordy\.csv:2: pop_size .*'many'"):
+        read_results(wordy)
+
+
 # --- table -------------------------------------------------------------------
 
 def fabricated_records():
@@ -408,6 +427,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--param", "warp=9",
     ]) == 1
     capsys.readouterr()
+    assert cli_main([
+        "run", "--algorithm", "pso", "--function", "booth",
+        "--param", "c1=abc",
+    ]) == 1
+    assert "error: run: pso.c1 expects a number" in capsys.readouterr().err
+    assert cli_main([
+        "run", "--algorithm", "abco", "--function", "booth",
+        "--param", "k=[1]",
+    ]) == 1
+    assert "error: run: abco.k expects a number" in capsys.readouterr().err
 
 
 def test_cli_run_writes_records(tmp_path, capsys):
