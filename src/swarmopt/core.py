@@ -9,6 +9,7 @@ optimizer), which is what makes the experiment harness deterministic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
@@ -77,6 +78,12 @@ def non_negative(value, values, spell):
     return value >= 0, "non-negative"
 
 
+@functools.cache
+def _declared_checks(cls) -> tuple:
+    return tuple((f.name, f.metadata["check"], f.default is None)
+                 for f in fields(cls) if f.metadata.get("check") is not None)
+
+
 def check_fields(cls, values: dict, spell=lambda name: name) -> None:
     """Run the checks declared on the fields of config dataclass `cls`.
 
@@ -85,15 +92,13 @@ def check_fields(cls, values: dict, spell=lambda name: name) -> None:
     naming the field through `spell`, so a caller can report the key the
     user wrote. A None value passes where the field's default is None.
     """
-    for declared in fields(cls):
-        value = values[declared.name]
-        check = declared.metadata.get("check")
-        if check is None or (value is None and declared.default is None):
+    for name, check, optional in _declared_checks(cls):
+        value = values[name]
+        if value is None and optional:
             continue
         holds, expectation = check(value, values, spell)
         if not holds:
-            raise ConfigurationError(
-                f"{spell(declared.name)} must be {expectation}, got {value}")
+            raise ConfigurationError(f"{spell(name)} must be {expectation}, got {value}")
 
 
 class UnknownFunctionError(LookupError):

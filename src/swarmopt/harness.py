@@ -75,11 +75,12 @@ BUNDLED_EXPERIMENTS = ("experiment1", "experiment2", "experiment3")
 
 _CONFIG_CLASSES = {"abco": AbcoConfig, "pso": PsoConfig, "aco": AcorConfig}
 
-# Config-file key -> dataclass field, per config class, read off the keys
-# the fields declare.
+# Per config class: every field by name, and config-file key -> field for
+# the fields a config block may set, read off the field declarations.
+_DECLARED = {cls: {f.name: f for f in fields(cls)} for cls in _CONFIG_CLASSES.values()}
 _FIELDS = {
-    cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
-    for cls in _CONFIG_CLASSES.values()
+    cls: {f.metadata["key"]: f for f in declared.values() if "key" in f.metadata}
+    for cls, declared in _DECLARED.items()
 }
 ABCO_KEYS = {key: f.name for key, f in _FIELDS[AbcoConfig].items()}
 
@@ -194,7 +195,7 @@ def _build(cls, block: dict, location: str, prefix: str, **fixed):
     field values. A range error names the key the user wrote."""
     kwargs = {_FIELDS[cls][key].name: value for key, value in block.items()}
     kwargs.update(fixed)
-    declared = {f.name: f for f in fields(cls)}
+    declared = _DECLARED[cls]
     values = {name: f.default for name, f in declared.items()} | kwargs
     try:
         check_fields(cls, values, lambda name: declared[name].metadata.get("key", name))
