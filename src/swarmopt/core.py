@@ -48,7 +48,8 @@ def param(default, *, key: str | None = None, check=None):
 
     `key` is how a config file or `--param` spells the field; a field
     without one cannot be set from a config block. `check` is one of the
-    checks below and is run by check_fields.
+    checks below, run by check_fields: a function of (value, all field
+    values, spell) returning whether the value holds and what was expected.
     """
     metadata = {"check": check}
     if key is not None:
