@@ -1,0 +1,36 @@
+"""Golden colony digest at the benchmark's population of 100.
+
+test_golden pins trajectories at population 10, where a neighbour query
+sorts only nine others. This digest replays every bundled colony preset at
+population 100, so the large-population neighbour query, exploit moves and
+reproduction windows are pinned too. It hashes the same things as
+test_golden (every evaluated point and value, then evaluations, iterations
+and the early-stop flag) and is tied to the same libm and PCG64 stream.
+"""
+
+import hashlib
+
+from swarmopt.abco import AbcoConfig, run_abco
+from swarmopt.benchmarks import list_functions, spec_of
+from swarmopt.core import RngStream, derive_seed
+from swarmopt.harness import ABCO_KEYS, abco_preset
+from test_golden import _fold, _recording
+
+GOLDEN_POPULATION_DIGEST = "2caf9d6e1dca9a3f84c06fc10914ca6aecca3b3b28c38a1281924b8851e27e6c"
+
+POPULATION = 100
+ITERATIONS = 10
+
+
+def population_digest() -> str:
+    sink = hashlib.sha256()
+    for function_id in list_functions():
+        colony = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
+        cfg = AbcoConfig(**colony, size=POPULATION, iterations=ITERATIONS)
+        seed = derive_seed(0, function_id, "abco", 0)
+        _fold(sink, run_abco(_recording(spec_of(function_id), sink), cfg, RngStream(seed)))
+    return sink.hexdigest()
+
+
+def test_population_digest_is_unchanged():
+    assert population_digest() == GOLDEN_POPULATION_DIGEST
