@@ -133,10 +133,10 @@ def tumble_step(
     dimension. The result is repaired into bounds.
     """
     direction = rng.standard_normal(space.dim)
-    norm = float(np.sqrt(direction @ direction))
+    norm = math.sqrt(direction @ direction)
     while norm == 0.0:
         direction = rng.standard_normal(space.dim)
-        norm = float(np.sqrt(direction @ direction))
+        norm = math.sqrt(direction @ direction)
     moved = bacterium.position + (cfg.step_size / norm) * direction
     return repair_bounds(moved, space, rng)
 
@@ -199,7 +199,8 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass.
+    moves within the same pass: the neighbour query reads one position
+    matrix whose row is rewritten whenever its member moves.
     """
     population = state.population
     if len(population) < 2:
@@ -207,9 +208,10 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
         state.diagnostics["exploit_skipped"] = state.diagnostics.get("exploit_skipped", 0) + 1
         return state
     mode = cfg.mode
+    positions = np.array([member.position for member in population])
     for _ in range(cfg.exploit_steps):
         for index, member in enumerate(population):
-            neighbours = k_nearest(population, index, cfg.neighbor_count)
+            neighbours = k_nearest(positions, index, cfg.neighbor_count)
             target_index = None
             target_value = member.best_solution
             for neighbour_index, _ in neighbours:
@@ -229,6 +231,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                 )
                 continue
             member.position = repaired
+            positions[index] = repaired
             member.solution = value
             state.diagnostics["exploit_moves"] = state.diagnostics.get("exploit_moves", 0) + 1
             if _gain(member.best_solution, value, mode) > 0.0:

@@ -283,16 +283,10 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
         raise ConfigurationError(f"neighbour count must be at least 1, got {k}")
     deltas = matrix - matrix[subject_index]
     distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    order = np.lexsort((np.arange(size), distances))
-    wanted = min(k, size - 1)
-    result = []
-    for index in order:
-        if index == subject_index:
-            continue
-        result.append((int(index), float(distances[index])))
-        if len(result) == wanted:
-            break
-    return result
+    # A stable sort keeps equal distances in index order.
+    order = np.argsort(distances, kind="stable")
+    order = order[order != subject_index][: min(k, size - 1)]
+    return list(zip(order.tolist(), distances[order].tolist()))
 
 
 def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:
@@ -307,9 +301,10 @@ def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:
         raise ValueError(
             f"position has shape {repaired.shape}, expected ({space.dim},)"
         )
-    for i in range(space.dim):
-        if not space.lower <= repaired[i] <= space.upper:
-            repaired[i] = rng.uniform(space.lower, space.upper)
+    lower, upper = space.lower, space.upper
+    for i, value in enumerate(repaired.tolist()):
+        if not lower <= value <= upper:
+            repaired[i] = rng.uniform(lower, upper)
     return repaired
 
 

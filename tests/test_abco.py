@@ -231,6 +231,22 @@ def test_exploit_holds_when_already_best():
     assert np.array_equal(state.population[0].position, (1.0, 0.0))
 
 
+def test_exploit_queries_positions_moved_earlier_in_the_pass():
+    # Member 0 steps from (0, 0) to (1, 0), toward member 2's memory. That
+    # puts it nearer member 1 than member 3 is, so member 1 follows member
+    # 0's fresh best; against member 0's old position member 3 would be
+    # nearest, and its worse memory would hold member 1 in place.
+    population = [member_at(0, 0, 10.0), member_at(0.8, -1.9, 8.0),
+                  member_at(2, 0, 0.0), member_at(0.8, -3.9, 9.0)]
+    cfg = AbcoConfig(size=4, neighbor_count=1, exploit_steps=1)
+    state = fresh_state(population)
+    exploit_stage(state, cfg, lambda p: 3.0, SPACE, RngStream(1))
+    assert np.array_equal(population[0].position, (1.0, 0.0))
+    expected = move_toward((0.8, -1.9), (1.0, 0.0), cfg.step_size)
+    assert np.array_equal(population[1].position, expected)
+    assert population[1].best_solution == 3.0
+
+
 def test_exploit_single_member_is_noop():
     population = [member_at(0, 0, 7.0)]
     cfg = AbcoConfig(size=1, exploit_steps=1)

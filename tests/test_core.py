@@ -1,5 +1,7 @@
 """Seeding, RNG streams, geometry and bounds primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,29 @@ def test_k_nearest_breaks_ties_by_index():
     assert [i for i, _ in neighbours] == [1, 2, 3]
 
 
+def _brute_force_order(positions, subject):
+    # NaN distances sort last; equal distances keep index order.
+    keyed = []
+    for i, point in enumerate(positions):
+        if i != subject:
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(point, positions[subject])))
+            keyed.append((math.isnan(d), 0.0 if math.isnan(d) else d, i))
+    return [i for *_, i in sorted(keyed)]
+
+
+def test_k_nearest_orders_duplicates_and_nan_rows_like_brute_force():
+    nan = float("nan")
+    positions = np.array([
+        [1.0, 1.0], [0.0, 0.0], [nan, 0.0], [1.0, 1.0], [2.0, 1.0], [0.0, 2.0], [nan, nan],
+    ])
+    for subject in range(len(positions)):
+        for k in (1, 3, len(positions)):
+            got = k_nearest(positions, subject, k)
+            assert [i for i, _ in got] == _brute_force_order(positions, subject)[:k]
+    # Row 0 duplicates subject 3 from a lower index, so it comes first at distance 0.
+    assert k_nearest(positions, 3, 1) == [(0, 0.0)]
+
+
 def test_k_nearest_clamps_and_rejects():
     positions = np.zeros((3, 2))
     assert len(k_nearest(positions, 0, 10)) == 2
@@ -172,6 +197,14 @@ def test_repair_bounds_catches_nan():
     space = SearchSpace(2, -1.0, 1.0)
     repaired = repair_bounds(np.array([float("nan"), 0.0]), space, RngStream(8))
     assert space.contains(repaired)
+
+
+def test_repair_bounds_draws_in_ascending_coordinate_order():
+    space = SearchSpace(4, -1.0, 1.0)
+    repaired = repair_bounds(np.array([float("nan"), 0.5, 3.0, -1.5]), space, RngStream(21))
+    reference = RngStream(21)
+    first, second, third = (reference.uniform(-1.0, 1.0) for _ in range(3))
+    assert repaired.tolist() == [first, 0.5, second, third]
 
 
 def test_repair_bounds_shape_check():
