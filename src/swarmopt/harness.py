@@ -404,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         records = [_execute_run(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute_run, tasks, chunksize=4))
+            records = list(pool.map(_execute_run, tasks))
 
     function_rank = {fn: i for i, fn in enumerate(cfg.functions)}
     algorithm_rank = {algo: i for i, algo in enumerate(cfg.algorithms)}
