@@ -73,15 +73,15 @@ class AbcoConfig:
     mode: whether smaller or larger objective values win.
     """
 
-    size: int = param(25, key="size", check=at_least(1))
+    size: int = param(25, key="size", check=at_least(1), integer=True)
     iterations: int = param(100, check=at_least(1))
     step_size: float = param(1.0, key="N_s", check=positive)
-    explore_steps: int = param(4, key="N_explor", check=at_least(1))
-    exploit_steps: int = param(1, key="N_explt", check=non_negative)
-    tumble_steps: int = param(1, key="N_tum", check=at_least(1))
+    explore_steps: int = param(4, key="N_explor", check=at_least(1), integer=True)
+    exploit_steps: int = param(1, key="N_explt", check=non_negative, integer=True)
+    tumble_steps: int = param(1, key="N_tum", check=at_least(1), integer=True)
     improvement_threshold: float = param(0.05, key="e", check=non_negative)
     survivor_fraction: float = param(0.8, key="s", check=up_to(1))
-    neighbor_count: int = param(2, key="k", check=at_least(1))
+    neighbor_count: int = param(2, key="k", check=at_least(1), integer=True)
     generation_gap: float = param(25.0, key="generation_gap", check=up_to(100))
     unchanged_threshold: float = param(80.0, key="unchanged_threshold", check=up_to(100))
     mode: OptimizationMode = OptimizationMode.MIN

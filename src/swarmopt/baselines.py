@@ -54,7 +54,7 @@ class PsoConfig:
     iteration to inertia_min at the last one.
     """
 
-    size: int = param(25, key="size", check=at_least(1))
+    size: int = param(25, key="size", check=at_least(1), integer=True)
     iterations: int = param(100, check=at_least(1))
     local_coefficient: float = param(1.9, key="c1", check=positive)
     global_coefficient: float = param(1.9, key="c2", check=positive)
@@ -75,9 +75,9 @@ class AcorConfig:
     distances into per-coordinate sampling deviations.
     """
 
-    size: int = param(25, key="size", check=at_least(2))
+    size: int = param(25, key="size", check=at_least(2), integer=True)
     iterations: int = param(100, check=at_least(1))
-    sample_count: int | None = param(None, key="sample_count", check=at_least(1))
+    sample_count: int | None = param(None, key="sample_count", check=at_least(1), integer=True)
     intent_factor: float = param(0.5, key="intent_factor", check=positive)
     deviation_ratio: float = param(1.0, key="zeta", check=positive)
 

@@ -43,15 +43,16 @@ class ConfigurationError(ValueError):
     """A parameter value is outside its documented range."""
 
 
-def param(default, *, key: str | None = None, check=None):
+def param(default, *, key: str | None = None, check=None, integer: bool = False):
     """A config dataclass field declared with its config-file key and check.
 
     `key` is how a config file or `--param` spells the field; a field
     without one cannot be set from a config block. `check` is one of the
     checks below, run by check_fields: a function of (value, all field
     values, spell) returning whether the value holds and what was expected.
+    `integer` marks a count, for which a config block must give an integer.
     """
-    metadata = {"check": check}
+    metadata = {"check": check, "integer": integer}
     if key is not None:
         metadata["key"] = key
     return field(default=default, metadata=metadata)

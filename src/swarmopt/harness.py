@@ -187,6 +187,9 @@ def _check_block(location: str, name: str, block, cls) -> dict:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
                 f"{location}: {name}.{key} expects a number, got {value!r}")
+        if declared.metadata["integer"] and not isinstance(value, int):
+            raise ConfigurationError(
+                f"{location}: {name}.{key} expects an integer, got {value!r}")
     return dict(block)
 
 

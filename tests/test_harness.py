@@ -202,6 +202,39 @@ def test_load_config_names_the_offending_key(tmp_path, mutation, needle):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "mutation,needle",
+    [
+        ({"abco": {"size": 1.5}}, "abco.size expects an integer, got 1.5"),
+        ({"abco": {"N_explor": 1.5}}, "abco.N_explor expects an integer, got 1.5"),
+        ({"abco": {"N_explt": 2.0}}, "abco.N_explt expects an integer, got 2.0"),
+        ({"abco": {"booth": {"N_tum": 1.5}}}, "abco.booth.N_tum expects an integer, got 1.5"),
+        ({"abco": {"k": 1.5}}, "abco.k expects an integer, got 1.5"),
+        ({"pso": {"size": 6.5}}, "pso.size expects an integer, got 6.5"),
+        ({"aco": {"size": 6.0}}, "aco.size expects an integer, got 6.0"),
+        ({"aco": {"sample_count": 2.5}}, "aco.sample_count expects an integer, got 2.5"),
+    ],
+)
+def test_load_config_rejects_fractional_counts(tmp_path, mutation, needle):
+    path = tiny_config(tmp_path, **mutation)
+    with pytest.raises(ConfigurationError) as err:
+        load_config(path)
+    assert str(err.value) == f"tiny.json: {needle}"
+
+
+def test_cli_run_rejects_fractional_counts(capsys):
+    assert cli_main([
+        "run", "--algorithm", "abco", "--function", "booth",
+        "--param", "N_explor=1.5",
+    ]) == 1
+    assert "error: run: abco.N_explor expects an integer, got 1.5" in capsys.readouterr().err
+    assert cli_main([
+        "run", "--algorithm", "aco", "--function", "booth",
+        "--param", "sample_count=2.5",
+    ]) == 1
+    assert "error: run: aco.sample_count expects an integer, got 2.5" in capsys.readouterr().err
+
+
 def test_config_errors_use_config_spellings(tmp_path):
     path = tiny_config(tmp_path, pso={"w_max": 0.1})
     with pytest.raises(ConfigurationError) as err:
