@@ -132,8 +132,7 @@ def tumble_step(
     (measure-zero) case of an all-zero draw, so it is isotropic in any
     dimension. The result is repaired into bounds.
     """
-    direction = rng.standard_normal(space.dim)
-    norm = math.sqrt(direction @ direction)
+    norm = 0.0
     while norm == 0.0:
         direction = rng.standard_normal(space.dim)
         norm = math.sqrt(direction @ direction)
@@ -199,8 +198,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass: the neighbour query reads one position
-    matrix whose row is rewritten whenever its member moves.
+    moves within the same pass.
     """
     population = state.population
     if len(population) < 2:
