@@ -105,10 +105,11 @@ class ExperimentConfig:
 class RunRecord:
     """One optimizer run, in the shape of one results-CSV row.
 
-    error is |best_value - true_minimum|. failed marks a run that raised;
-    its numeric result fields hold nan/zero and it is excluded from
-    statistics. The flag itself is not a CSV column: a nan best_value marks
-    the row, and read_results restores the flag from it.
+    error is |best_value - true_minimum|. failed marks a run that raised
+    (its numeric result fields hold nan/zero) or that reported a nan best;
+    failed runs are excluded from statistics. The flag itself is not a CSV
+    column: a nan best_value marks the row, and read_results restores the
+    flag from it by the same rule.
     """
 
     experiment_id: str
@@ -354,7 +355,7 @@ def _execute_run(task) -> RunRecord:
             iterations_executed=result.iterations_executed,
             early_stopped=result.early_stopped,
             runtime_seconds=result.runtime_seconds,
-            failed=False,
+            failed=math.isnan(result.best_value),
         )
     except Exception as exc:  # noqa: BLE001 - one bad run must not kill the sweep
         print(f"warning: {function_id}/{algorithm_id} run {run_index} failed: {exc}",

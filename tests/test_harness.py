@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,6 +363,31 @@ def test_failed_rows_survive_the_round_trip(tmp_path):
     loaded = read_results(out)
     assert loaded[0].failed
     assert math.isnan(loaded[0].best_value)
+
+
+def test_nan_best_is_failed_in_memory_and_after_the_round_trip(tmp_path, monkeypatch):
+    # An objective that returns nan on a quarter of the box lets some runs
+    # report a nan best without raising.
+    monkeypatch.setenv("SWARM_OPT_THREADS", "1")
+    real_spec_of = harness.spec_of
+
+    def patchy_spec(function_id):
+        spec = real_spec_of(function_id)
+        cut = spec.space.upper - (spec.space.upper - spec.space.lower) / 4
+
+        def evaluator(point):
+            return math.nan if point[0] > cut else spec.evaluator(point)
+
+        return replace(spec, evaluator=evaluator)
+
+    monkeypatch.setattr(harness, "spec_of", patchy_spec)
+    records = run_experiment(load_config(tiny_config(tmp_path)))
+    out = tmp_path / "records.csv"
+    write_results(records, out)
+    flags = [r.failed for r in records]
+    assert flags == [math.isnan(r.best_value) for r in records]
+    assert [r.failed for r in read_results(out)] == flags
+    assert any(flags) and not all(flags)
 
 
 def test_read_results_rejects_foreign_headers(tmp_path):
