@@ -6,6 +6,10 @@ checkpoint. Randomness is consumed in a fixed order: the seeding batch;
 then per explore round and member the tumble direction normals plus one
 uniform per out-of-bounds coordinate; the exploit stage draws nothing; the
 reproduce stage draws only when a lone survivor forces fresh reseeding.
+
+Explore draws a round's normals in one batch, rewound at the first member
+that needs more draws. numpy fills a batch with the same sequential
+normals as single draws, so that is the stream of one tumble_step each.
 """
 
 from __future__ import annotations
@@ -140,6 +144,38 @@ def tumble_step(
     return repair_bounds(moved, space, rng)
 
 
+def _tumble_round(population, cfg: AbcoConfig, space: SearchSpace, rng: RngStream) -> np.ndarray:
+    """Every member's tumble_step move for one round, as matrix rows.
+
+    The rows draw one batch. The first row that needs more draws (out of
+    bounds, or a zero direction) rewinds the stream to the batch start,
+    redraws the rows before it and takes tumble_step; a new batch follows.
+    """
+    positions = np.array([member.position for member in population])
+    size, dim = positions.shape
+    moved = np.empty_like(positions)
+    bit_generator = rng.generator.bit_generator
+    start = 0
+    while start < size:
+        saved = bit_generator.state
+        directions = rng.standard_normal((size - start, dim))
+        # Stacked matmul gives the same squared norm as direction @ direction.
+        squared = (directions[:, None, :] @ directions[:, :, None]).ravel()
+        # A zero direction makes a nan row, which fails the bounds test too.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = positions[start:] + (cfg.step_size / np.sqrt(squared))[:, None] * directions
+        settled = ((steps >= space.lower) & (steps <= space.upper)).all(axis=1)
+        accepted = len(settled) if settled.all() else int(settled.argmin())
+        moved[start:start + accepted] = steps[:accepted]
+        start += accepted
+        if start < size:
+            bit_generator.state = saved
+            rng.standard_normal((accepted, dim))
+            moved[start] = tumble_step(population[start], cfg, space, rng)
+            start += 1
+    return moved
+
+
 def move_toward(current, target, step_size: float) -> np.ndarray:
     """Step from current toward target by at most step_size, never past it.
 
@@ -170,8 +206,8 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     diagnostics = state.diagnostics
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
-            for member in state.population:
-                moved = tumble_step(member, cfg, space, rng)
+            rows = _tumble_round(state.population, cfg, space, rng)
+            for member, moved in zip(state.population, rows):
                 value = float(objective(moved))
                 state.evaluations += 1
                 if not math.isfinite(value):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swarmopt import abco
 from swarmopt.abco import (
     AbcoConfig,
     RunState,
@@ -29,6 +30,7 @@ from swarmopt.core import (
     seed_population,
 )
 from swarmopt.harness import ABCO_KEYS, abco_preset
+from test_acceptance import random_case
 
 SPACE = SearchSpace(2, -5.0, 5.0)
 
@@ -196,6 +198,94 @@ def test_explore_rolls_back_non_finite():
     for member in state.population:
         assert math.isfinite(member.solution)
         assert abs(member.position[0]) >= 0.5
+
+
+def one_tumble_step_per_member(population, cfg, space, rng):
+    """The reference draw order for a round: tumble_step per member."""
+    return [tumble_step(member, cfg, space, rng) for member in population]
+
+
+def snapshot(state, rng):
+    members = state.population
+    return (
+        np.array([m.position for m in members]).tobytes(),
+        np.array([m.best_position for m in members]).tobytes(),
+        np.array([(m.solution, m.best_solution) for m in members]).tobytes(),
+        state.evaluations,
+        state.diagnostics,
+        rng.generator.bit_generator.state,
+    )
+
+
+def batched_and_reference(monkeypatch, explore):
+    """snapshot after explore(), batched and with tumble_step per member."""
+    batched = explore()
+    with monkeypatch.context() as patch:
+        patch.setattr(abco, "_tumble_round", one_tumble_step_per_member)
+        reference = explore()
+    return batched, reference
+
+
+def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
+    # step_size reaches 1.5 box widths, so many tumbles leave the box and
+    # the batch rewinds; a nan region adds rollbacks.
+    fallbacks, tumbles = [], 0
+    monkeypatch.setattr(abco, "tumble_step",
+                        lambda *args: fallbacks.append(1) or tumble_step(*args))
+    for case in range(60):
+        space, evaluator, cfg, _ = random_case(4_400 + case)
+        cut = space.upper - (space.upper - space.lower) / 8
+
+        def holed(p, f=evaluator):
+            return float("nan") if case % 3 == 0 and p[0] > cut else f(p)
+
+        def explore():
+            rng = RngStream(case)
+            state = fresh_state(seed_population(space, cfg.size, holed, rng))
+            explore_stage(state, cfg, holed, space, rng)
+            return snapshot(state, rng)
+
+        batched, reference = batched_and_reference(monkeypatch, explore)
+        assert batched == reference, case
+        tumbles += cfg.size * cfg.explore_steps * cfg.tumble_steps
+    assert 0 < len(fallbacks) < tumbles
+
+
+class ZeroDirectionStream(RngStream):
+    """A stream whose draw of one given direction comes back all zero."""
+
+    def __init__(self, seed, direction):
+        super().__init__(seed)
+        self.direction = direction
+        self.zeroed = 0
+
+    def standard_normal(self, size=None):
+        draws = self.generator.standard_normal(size)
+        rows = draws.reshape(-1, len(self.direction))
+        hits = (rows == self.direction).all(axis=1)
+        rows[hits] = 0.0
+        self.zeroed += int(hits.sum())
+        return draws
+
+
+def test_explore_redraws_a_zero_direction_like_tumble_step(monkeypatch):
+    # No tumble leaves the box, so the eleventh direction drawn is member
+    # 2's in the second round; it comes back zero and is redrawn.
+    cfg = AbcoConfig(size=8, step_size=0.5, explore_steps=1, tumble_steps=2)
+    zero_row = RngStream(5).standard_normal((11, 2))[10]
+    streams = []
+
+    def explore():
+        rng = ZeroDirectionStream(5, zero_row)
+        streams.append(rng)
+        population = [member_at(0.2 * i - 0.7, 0.1 * i, 0.0) for i in range(cfg.size)]
+        state = fresh_state(population)
+        explore_stage(state, cfg, sphere, SPACE, rng)
+        return snapshot(state, rng)
+
+    batched, reference = batched_and_reference(monkeypatch, explore)
+    assert all(rng.zeroed > 0 for rng in streams)
+    assert batched == reference
 
 
 # --- exploit ---------------------------------------------------------------
