@@ -120,11 +120,11 @@ class RunState:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _gain(best: float, candidate: float, mode: OptimizationMode) -> float:
-    """Signed improvement of `candidate` over the incumbent `best`."""
-    if mode is OptimizationMode.MIN:
-        return best - candidate
-    return candidate - best
+def _tally(diagnostics: dict, **counts: int):
+    """Add each nonzero count to its diagnostics counter."""
+    for name, count in counts.items():
+        if count:
+            diagnostics[name] = diagnostics.get(name, 0) + count
 
 
 def tumble_step(
@@ -187,7 +187,7 @@ def move_toward(current, target, step_size: float) -> np.ndarray:
     if current.shape != target.shape:
         raise ValueError(f"vector length mismatch: {current.shape} vs {target.shape}")
     offset = target - current
-    distance = float(np.sqrt(offset @ offset))
+    distance = math.sqrt(offset @ offset)
     if distance <= step_size:
         return target.copy()
     return current + (step_size / distance) * offset
@@ -200,30 +200,37 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     the personal best before touching it, and record any strict gain as the
     new personal best. A gain above improvement_threshold is counted as a
     directed step. A non-finite evaluation rolls the member back to where
-    the round started.
+    the round started. Gains are differences of quality keys, so one
+    subtraction serves both modes.
     """
     mode = cfg.mode
-    diagnostics = state.diagnostics
+    threshold = cfg.improvement_threshold
+    population = state.population
+    best_keys = quality_key(np.array([member.best_solution for member in population]), mode).tolist()
+    directed = rolled_back = 0
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
-            rows = _tumble_round(state.population, cfg, space, rng)
-            for member, moved in zip(state.population, rows):
-                value = float(objective(moved))
-                state.evaluations += 1
+            rows = _tumble_round(population, cfg, space, rng)
+            values = [float(objective(moved)) for moved in rows]
+            state.evaluations += len(values)
+            keys = quality_key(np.array(values), mode).tolist()
+            for index, (member, moved, value, key) in enumerate(zip(population, rows, values, keys)):
                 if not math.isfinite(value):
-                    diagnostics["rolled_back_moves"] = diagnostics.get("rolled_back_moves", 0) + 1
+                    rolled_back += 1
                     continue
                 member.position = moved
                 member.solution = value
-                gain = _gain(member.best_solution, value, mode)
+                gain = best_keys[index] - key
                 if gain > 0.0:
                     member.best_solution = value
                     member.best_position = moved.copy()
-                if gain > cfg.improvement_threshold:
+                    best_keys[index] = key
+                if gain > threshold:
                     # The crossing is counted but moves nothing: it fires only
                     # when the personal best has just moved to the current
                     # position, so a directed step there would stay put.
-                    diagnostics["directed_steps"] = diagnostics.get("directed_steps", 0) + 1
+                    directed += 1
+    _tally(state.diagnostics, rolled_back_moves=rolled_back, directed_steps=directed)
     return state
 
 
@@ -234,43 +241,50 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass.
+    moves within the same pass. A step between two in-box points leaves
+    the box only by rounding, so only a step with a coordinate outside the
+    box goes through repair_bounds, which would draw nothing for the rest.
     """
     population = state.population
     if len(population) < 2:
         logger.warning("exploit stage skipped: population of one has no neighbours")
-        state.diagnostics["exploit_skipped"] = state.diagnostics.get("exploit_skipped", 0) + 1
+        _tally(state.diagnostics, exploit_skipped=1)
         return state
     mode = cfg.mode
+    k = min(cfg.neighbor_count, len(population) - 1)
+    step_size = cfg.step_size
+    lower, upper = space.lower, space.upper
     positions = np.array([member.position for member in population])
+    best_keys = quality_key(np.array([member.best_solution for member in population]), mode).tolist()
+    moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
         for index, member in enumerate(population):
-            neighbours = k_nearest(positions, index, cfg.neighbor_count)
             target_index = None
-            target_value = member.best_solution
-            for neighbour_index, _ in neighbours:
-                candidate = population[neighbour_index].best_solution
-                if better_than(candidate, target_value, mode):
+            target_key = best_keys[index]
+            for neighbour_index, _ in k_nearest(positions, index, k):
+                if best_keys[neighbour_index] < target_key:
                     target_index = neighbour_index
-                    target_value = candidate
+                    target_key = best_keys[neighbour_index]
             if target_index is None:
                 continue
-            moved = move_toward(member.position, population[target_index].best_position, cfg.step_size)
-            repaired = repair_bounds(moved, space, rng)
-            value = float(objective(repaired))
+            moved = move_toward(member.position, population[target_index].best_position, step_size)
+            if not all(lower <= x <= upper for x in moved.tolist()):
+                moved = repair_bounds(moved, space, rng)
+            value = float(objective(moved))
             state.evaluations += 1
             if not math.isfinite(value):
-                state.diagnostics["rolled_back_moves"] = (
-                    state.diagnostics.get("rolled_back_moves", 0) + 1
-                )
+                rolled_back += 1
                 continue
-            member.position = repaired
-            positions[index] = repaired
+            member.position = moved
+            positions[index] = moved
             member.solution = value
-            state.diagnostics["exploit_moves"] = state.diagnostics.get("exploit_moves", 0) + 1
-            if _gain(member.best_solution, value, mode) > 0.0:
+            moves += 1
+            key = quality_key(value, mode)
+            if key < best_keys[index]:
                 member.best_solution = value
-                member.best_position = repaired.copy()
+                member.best_position = moved.copy()
+                best_keys[index] = key
+    _tally(state.diagnostics, exploit_moves=moves, rolled_back_moves=rolled_back)
     return state
 
 
@@ -300,21 +314,24 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
         else:
             neighbour_count = min(cfg.neighbor_count, retained - 1)
             weight_total = neighbour_count * (neighbour_count + 1) / 2.0
-            for i in range(needed):
-                guide_index = i % retained
-                # The neighbour_count ranks nearest the guide, ties toward the
-                # better side: a window of neighbour_count + 1 consecutive
-                # ranks holding the guide, shifted to fit inside the
-                # survivors. ranked[] is best-first, so the window is in
-                # ascending solution rank.
-                start = min(max(guide_index - (neighbour_count + 1) // 2, 0),
-                            retained - 1 - neighbour_count)
-                chosen = [j for j in range(start, start + neighbour_count + 1)
-                          if j != guide_index]
-                position = np.zeros(space.dim)
-                for rank, neighbour_index in enumerate(chosen, start=1):
-                    weight = (neighbour_count - rank + 1) / weight_total
-                    position += weight * survivors[neighbour_index].position
+            guides = np.arange(needed) % retained
+            # The neighbour_count ranks nearest each guide, ties toward the
+            # better side: a window of neighbour_count + 1 consecutive ranks
+            # holding the guide, shifted to fit inside the survivors, with
+            # the guide taken out. ranked[] is best-first, so each row of
+            # chosen is in ascending solution rank.
+            starts = np.minimum(np.maximum(guides - (neighbour_count + 1) // 2, 0),
+                                retained - 1 - neighbour_count)
+            window = starts[:, None] + np.arange(neighbour_count + 1)
+            chosen = window[window != guides[:, None]].reshape(needed, neighbour_count)
+            # One weighted rank at a time over all rows: per element the
+            # same additions in the same order as a per-row sum.
+            survivor_positions = np.array([member.position for member in survivors])
+            positions = np.zeros((needed, space.dim))
+            for rank in range(1, neighbour_count + 1):
+                weight = (neighbour_count - rank + 1) / weight_total
+                positions += weight * survivor_positions[chosen[:, rank - 1]]
+            for position in positions:
                 value = float(objective(position))
                 state.evaluations += 1
                 replacements.append(

@@ -284,10 +284,14 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
         raise ConfigurationError(f"neighbour count must be at least 1, got {k}")
     deltas = matrix - matrix[subject_index]
     distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    # A stable sort keeps equal distances in index order.
-    order = np.argsort(distances, kind="stable")
-    order = order[order != subject_index][: min(k, size - 1)]
-    return list(zip(order.tolist(), distances[order].tolist()))
+    # A stable sort keeps equal distances in index order. Ties or a nan row
+    # can put the subject past the first k + 1; then the last of them goes.
+    nearest = distances.argsort(kind="stable")[: k + 1].tolist()
+    if subject_index in nearest:
+        nearest.remove(subject_index)
+    else:
+        nearest.pop()
+    return [(index, distances.item(index)) for index in nearest]
 
 
 def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:

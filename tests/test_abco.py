@@ -25,8 +25,11 @@ from swarmopt.core import (
     OptimizationMode,
     RngStream,
     SearchSpace,
+    better_than,
     derive_seed,
+    k_nearest,
     quality_key,
+    repair_bounds,
     seed_population,
 )
 from swarmopt.harness import ABCO_KEYS, abco_preset
@@ -405,6 +408,107 @@ def test_reproduce_single_survivor_reseeds():
     assert len(state.population) == 4
     for member in state.population:
         assert SPACE.contains(member.position)
+
+
+# --- stage equivalence -----------------------------------------------------
+
+def _bump(diagnostics, name):
+    diagnostics[name] = diagnostics.get(name, 0) + 1
+
+
+def reference_exploit(state, cfg, objective, space, rng):
+    """The exploit pass member by member: k_nearest, better_than,
+    move_toward, repair_bounds, then evaluate."""
+    population = state.population
+    positions = np.array([member.position for member in population])
+    for _ in range(cfg.exploit_steps):
+        for index, member in enumerate(population):
+            target_index, target_value = None, member.best_solution
+            for neighbour_index, _ in k_nearest(positions, index, cfg.neighbor_count):
+                candidate = population[neighbour_index].best_solution
+                if better_than(candidate, target_value, cfg.mode):
+                    target_index, target_value = neighbour_index, candidate
+            if target_index is None:
+                continue
+            target = population[target_index].best_position
+            moved = repair_bounds(move_toward(member.position, target, cfg.step_size), space, rng)
+            value = float(objective(moved))
+            state.evaluations += 1
+            if not math.isfinite(value):
+                _bump(state.diagnostics, "rolled_back_moves")
+                continue
+            member.position = moved
+            positions[index] = moved
+            member.solution = value
+            _bump(state.diagnostics, "exploit_moves")
+            if better_than(value, member.best_solution, cfg.mode):
+                member.best_solution = value
+                member.best_position = moved.copy()
+    return state
+
+
+def reference_reproduce(state, cfg, objective, space, rng):
+    """Reproduction building and evaluating one replacement row at a time."""
+    ranked = sorted(state.population, key=lambda m: quality_key(m.solution, cfg.mode))
+    survivors = ranked[: cfg.survivor_count]
+    retained = len(survivors)
+    needed = cfg.size - retained
+    replacements = []
+    if needed > 0 and retained == 1:
+        replacements = seed_population(space, needed, objective, rng)
+        state.evaluations += needed
+    elif needed > 0:
+        count = min(cfg.neighbor_count, retained - 1)
+        total = count * (count + 1) / 2.0
+        for i in range(needed):
+            guide = i % retained
+            start = min(max(guide - (count + 1) // 2, 0), retained - 1 - count)
+            chosen = [j for j in range(start, start + count + 1) if j != guide]
+            position = np.zeros(space.dim)
+            for rank, j in enumerate(chosen, start=1):
+                weight = (count - rank + 1) / total
+                position += weight * survivors[j].position
+            value = float(objective(position))
+            state.evaluations += 1
+            replacements.append(Bacterium(position, value, position.copy(), value, value))
+    state.population = survivors + replacements
+    return state
+
+
+@pytest.mark.parametrize("stage, reference", [
+    (exploit_stage, reference_exploit),
+    (reproduce_stage, reference_reproduce),
+])
+def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, reference):
+    # Every other case explores and seeds a box a quarter width wider on
+    # each side, so exploit steps leave the real box and are repaired; a
+    # nan region in a third of the cases gives nan bests and rollbacks.
+    repairs, stage_repairs = [], 0
+    monkeypatch.setattr(abco, "repair_bounds",
+                        lambda *args: repairs.append(1) or repair_bounds(*args))
+    for case in range(60):
+        space, evaluator, cfg, _ = random_case(5_500 + case)
+        width = space.upper - space.lower
+        wide = SearchSpace(space.dim, space.lower - width / 4, space.upper + width / 4)
+        start_space = wide if case % 2 else space
+        cut = space.upper - width / 8
+
+        def holed(p, f=evaluator):
+            return float("nan") if case % 3 == 0 and p[0] > cut else f(p)
+
+        def run(step):
+            rng = RngStream(case)
+            state = fresh_state(seed_population(start_space, cfg.size, holed, rng))
+            explore_stage(state, cfg, holed, start_space, rng)
+            repairs.clear()
+            step(state, cfg, holed, space, rng)
+            return snapshot(state, rng)
+
+        staged = run(stage)
+        stage_repairs += len(repairs)
+        assert staged == run(reference), case
+    if stage is exploit_stage:
+        assert stage_repairs > 0
 
 
 # --- early stop ------------------------------------------------------------
