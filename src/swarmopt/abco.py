@@ -28,7 +28,6 @@ from .core import (
     RngStream,
     SearchSpace,
     at_least,
-    better_than,
     check_fields,
     k_nearest,
     non_negative,
@@ -373,10 +372,12 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
 
 
 def _refresh_global_best(state: RunState, mode: OptimizationMode):
-    for member in state.population:
-        if better_than(member.best_solution, state.global_best_value, mode):
-            state.global_best_value = member.best_solution
-            state.global_best_position = member.best_position.copy()
+    keys = quality_key(np.array([member.best_solution for member in state.population]), mode)
+    best = int(keys.argmin())
+    if keys[best] < quality_key(state.global_best_value, mode):
+        champion = state.population[best]
+        state.global_best_value = champion.best_solution
+        state.global_best_position = champion.best_position.copy()
 
 
 def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:

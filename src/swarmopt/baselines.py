@@ -110,7 +110,6 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
     space = objective.space
     evaluate = objective.evaluator
     mode = objective.mode
-    minimizing = mode is OptimizationMode.MIN
 
     positions = space.lower + (space.upper - space.lower) * rng.uniform(
         size=(cfg.size, space.dim)
@@ -121,7 +120,7 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
     best_positions = positions.copy()
     best_values = values.copy()
-    champion = int(np.argmin([quality_key(v, mode) for v in best_values]))
+    champion = int(np.argmin(quality_key(best_values, mode)))
     global_value = float(best_values[champion])
     global_position = best_positions[champion].copy()
     history = [global_value]
@@ -142,11 +141,11 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
         values = np.array([float(evaluate(p)) for p in positions])
         evaluations += cfg.size
-        improved = values < best_values if minimizing else values > best_values
+        improved = quality_key(values, mode) < quality_key(best_values, mode)
         best_values = np.where(improved, values, best_values)
         best_positions[improved] = positions[improved]
 
-        champion = int(np.argmin([quality_key(v, mode) for v in best_values]))
+        champion = int(np.argmin(quality_key(best_values, mode)))
         if better_than(float(best_values[champion]), global_value, mode):
             global_value = float(best_values[champion])
             global_position = best_positions[champion].copy()
@@ -186,8 +185,8 @@ def merge_archive(
     """Best `keep` of archive plus samples, archive entries first on ties."""
     all_positions = np.concatenate([positions, sample_positions])
     all_values = np.concatenate([values, sample_values])
-    order = sorted(range(len(all_values)), key=lambda i: (quality_key(all_values[i], mode), i))
-    chosen = order[:keep]
+    # A stable sort on the keys keeps archive entries first on ties.
+    chosen = np.argsort(quality_key(all_values, mode), kind="stable")[:keep]
     return all_positions[chosen], all_values[chosen]
 
 
@@ -209,7 +208,7 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
     values = np.array([float(evaluate(p)) for p in positions])
     evaluations = n
-    order = sorted(range(n), key=lambda i: (quality_key(values[i], mode), i))
+    order = np.argsort(quality_key(values, mode), kind="stable")
     positions, values = positions[order], values[order]
 
     weights = rank_weights(n, cfg.intent_factor)

@@ -119,22 +119,26 @@ class OptimizationMode(Enum):
 
 
 def better_than(candidate: float, incumbent: float, mode: OptimizationMode) -> bool:
-    """True when `candidate` is a strictly better objective value than `incumbent`."""
-    if mode is OptimizationMode.MIN:
-        return candidate < incumbent
-    return candidate > incumbent
+    """True when `candidate` is a strictly better objective value than `incumbent`.
+
+    This is quality_key's order: any finite value beats nan and ±inf.
+    """
+    return quality_key(candidate, mode) < quality_key(incumbent, mode)
 
 
-def quality_key(value: float, mode: OptimizationMode) -> float:
+def quality_key(value, mode: OptimizationMode):
     """Sort key that places better objective values first under ascending order.
 
-    Negation is exact in IEEE arithmetic, so min-mode sorts on f and
-    max-mode sorts on -f order identically when f is negated. This is what
-    keeps the two modes mirror images of each other.
+    Takes a float or an array. nan and ±inf all map to +inf, so they rank
+    after every finite value and tie with each other. Negation is exact in
+    IEEE arithmetic, so min-mode sorts on f and max-mode sorts on -f order
+    identically when f is negated. This is what keeps the two modes mirror
+    images of each other.
     """
-    if mode is OptimizationMode.MIN:
-        return value
-    return -value
+    key = value if mode is OptimizationMode.MIN else -value
+    if isinstance(key, np.ndarray):
+        return np.where(np.isfinite(key), key, np.inf)
+    return key if math.isfinite(key) else math.inf
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,21 @@ def test_quality_key_duality():
     assert by_max == [3.0, 2.5, -1.0]
 
 
+def test_quality_key_ranks_non_finite_values_worst():
+    nan, inf = float("nan"), float("inf")
+    values = [nan, 2.0, -inf, -1.0, inf, 1e308]
+    for mode in OptimizationMode:
+        keys = quality_key(np.array(values), mode)
+        assert keys.tolist() == [quality_key(v, mode) for v in values]
+        order = np.argsort(keys, kind="stable").tolist()
+        finite = [i for i in order if math.isfinite(values[i])]
+        assert order == finite + [0, 2, 4]
+        for bad in (nan, inf, -inf):
+            assert better_than(-1e308, bad, mode) and better_than(1e308, bad, mode)
+            assert not better_than(bad, 0.0, mode)
+            assert not better_than(bad, nan, mode) and not better_than(nan, bad, mode)
+
+
 def _brute_force_neighbours(positions, subject, k):
     distances = [
         (float(np.linalg.norm(np.asarray(p) - np.asarray(positions[subject]))), i)

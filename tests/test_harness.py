@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from swarmopt import harness
-from swarmopt.benchmarks import list_functions
-from swarmopt.core import ConfigurationError, derive_seed
+from swarmopt.abco import AbcoConfig, run_abco
+from swarmopt.baselines import AcorConfig, PsoConfig, run_acor, run_pso
+from swarmopt.benchmarks import list_functions, spec_of
+from swarmopt.core import ConfigurationError, RngStream, derive_seed
 from swarmopt.harness import (
     RunRecord,
     abco_preset,
@@ -365,20 +367,27 @@ def test_failed_rows_survive_the_round_trip(tmp_path):
     assert math.isnan(loaded[0].best_value)
 
 
+def nan_on_a_quarter(spec):
+    """spec with an objective that returns nan on the top quarter of x0."""
+    cut = spec.space.upper - (spec.space.upper - spec.space.lower) / 4
+
+    def evaluator(point, inner=spec.evaluator):
+        return math.nan if point[0] > cut else inner(point)
+
+    return replace(spec, evaluator=evaluator)
+
+
 def test_nan_best_is_failed_in_memory_and_after_the_round_trip(tmp_path, monkeypatch):
-    # An objective that returns nan on a quarter of the box lets some runs
-    # report a nan best without raising.
+    # himmelblau returns nan on the whole box, so its runs report a nan best
+    # without raising; booth returns nan on a quarter of it.
     monkeypatch.setenv("SWARM_OPT_THREADS", "1")
     real_spec_of = harness.spec_of
 
     def patchy_spec(function_id):
         spec = real_spec_of(function_id)
-        cut = spec.space.upper - (spec.space.upper - spec.space.lower) / 4
-
-        def evaluator(point):
-            return math.nan if point[0] > cut else spec.evaluator(point)
-
-        return replace(spec, evaluator=evaluator)
+        if function_id == "himmelblau":
+            return replace(spec, evaluator=lambda point: math.nan)
+        return nan_on_a_quarter(spec)
 
     monkeypatch.setattr(harness, "spec_of", patchy_spec)
     records = run_experiment(load_config(tiny_config(tmp_path)))
@@ -388,6 +397,31 @@ def test_nan_best_is_failed_in_memory_and_after_the_round_trip(tmp_path, monkeyp
     assert flags == [math.isnan(r.best_value) for r in records]
     assert [r.failed for r in read_results(out)] == flags
     assert any(flags) and not all(flags)
+
+
+def test_every_optimizer_reports_the_lowest_finite_value_it_evaluated():
+    # nan on a quarter of the box must neither win a ranking nor hold one
+    # against a finite find.
+    runners = {
+        "abco": (run_abco, AbcoConfig(size=8, iterations=15)),
+        "pso": (run_pso, PsoConfig(size=8, iterations=15)),
+        "aco": (run_acor, AcorConfig(size=8, iterations=15)),
+    }
+    for function_id in list_functions():
+        for algorithm_id, (runner, cfg) in runners.items():
+            for run_index in range(3):
+                spec = nan_on_a_quarter(spec_of(function_id))
+                lowest = [math.inf]
+
+                def observed(point, inner=spec.evaluator):
+                    value = inner(point)
+                    if math.isfinite(value):
+                        lowest[0] = min(lowest[0], value)
+                    return value
+
+                seed = derive_seed(5, function_id, algorithm_id, run_index)
+                result = runner(replace(spec, evaluator=observed), cfg, RngStream(seed))
+                assert result.best_value == lowest[0], (function_id, algorithm_id, run_index)
 
 
 def test_read_results_rejects_foreign_headers(tmp_path):
