@@ -205,7 +205,7 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     mode = cfg.mode
     threshold = cfg.improvement_threshold
     population = state.population
-    best_keys = quality_key(np.array([member.best_solution for member in population]), mode).tolist()
+    best_keys = quality_key(np.array([m.best_solution for m in population]), mode).tolist()
     directed = rolled_back = 0
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
@@ -213,17 +213,17 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
             values = [float(objective(moved)) for moved in rows]
             state.evaluations += len(values)
             keys = quality_key(np.array(values), mode).tolist()
-            for index, (member, moved, value, key) in enumerate(zip(population, rows, values, keys)):
+            for index, (member, moved, value) in enumerate(zip(population, rows, values)):
                 if not math.isfinite(value):
                     rolled_back += 1
                     continue
                 member.position = moved
                 member.solution = value
-                gain = best_keys[index] - key
+                gain = best_keys[index] - keys[index]
                 if gain > 0.0:
                     member.best_solution = value
                     member.best_position = moved.copy()
-                    best_keys[index] = key
+                    best_keys[index] = keys[index]
                 if gain > threshold:
                     # The crossing is counted but moves nothing: it fires only
                     # when the personal best has just moved to the current
@@ -254,7 +254,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     step_size = cfg.step_size
     lower, upper = space.lower, space.upper
     positions = np.array([member.position for member in population])
-    best_keys = quality_key(np.array([member.best_solution for member in population]), mode).tolist()
+    best_keys = quality_key(np.array([m.best_solution for m in population]), mode).tolist()
     moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
         for index, member in enumerate(population):
@@ -372,7 +372,7 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
 
 
 def _refresh_global_best(state: RunState, mode: OptimizationMode):
-    keys = quality_key(np.array([member.best_solution for member in state.population]), mode)
+    keys = quality_key(np.array([m.best_solution for m in state.population]), mode)
     best = int(keys.argmin())
     if keys[best] < quality_key(state.global_best_value, mode):
         champion = state.population[best]
