@@ -4,12 +4,16 @@ Each iteration runs the three stages in order, refreshes the global best
 from the population's personal bests, then checks the stagnation
 checkpoint. Randomness is consumed in a fixed order: the seeding batch;
 then per explore round and member the tumble direction normals plus one
-uniform per out-of-bounds coordinate; the exploit stage draws nothing; the
-reproduce stage draws only when a lone survivor forces fresh reseeding.
+uniform per out-of-bounds coordinate; the exploit stage draws one uniform
+per out-of-bounds coordinate of a step; the reproduce stage draws only
+when a lone survivor forces fresh reseeding.
 
 Explore draws a round's normals in one batch, rewound at the first member
 that needs more draws. numpy fills a batch with the same sequential
 normals as single draws, so that is the stream of one tumble_step each.
+Exploit queries k_nearest per member on one live position matrix and
+repairs only steps that leave the box. Reproduce builds its replacements
+in k matrix steps with the same per-element arithmetic as row by row.
 """
 
 from __future__ import annotations

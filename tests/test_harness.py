@@ -408,9 +408,9 @@ def test_every_optimizer_reports_the_lowest_finite_value_it_evaluated():
         "aco": (run_acor, AcorConfig(size=8, iterations=15)),
     }
     for function_id in list_functions():
+        spec = nan_on_a_quarter(spec_of(function_id))
         for algorithm_id, (runner, cfg) in runners.items():
             for run_index in range(3):
-                spec = nan_on_a_quarter(spec_of(function_id))
                 lowest = [math.inf]
 
                 def observed(point, inner=spec.evaluator):
