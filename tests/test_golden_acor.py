@@ -1,0 +1,49 @@
+"""Golden ACO digest at the benchmark's population of 100.
+
+test_golden runs ACO at population 10 with five ants an iteration. This
+digest replays ACO at population 100, which resolves sample_count to 25
+ants an iteration, the shape the bench times: all ten functions at their
+own dimension, then sphere and rastrigin at dimensions 1 and 3 and
+rosenbrock at dimension 3, so both ways of summing archive deviations (one
+coordinate, and several) are pinned. It hashes the same things as
+test_golden and is tied to the same libm and PCG64 stream.
+"""
+
+import hashlib
+from dataclasses import replace
+
+from swarmopt.baselines import AcorConfig, run_acor
+from swarmopt.benchmarks import list_functions, spec_of
+from swarmopt.core import RngStream, SearchSpace, derive_seed
+from test_golden import _fold, _recording
+
+GOLDEN_ACOR_DIGEST = "26ddaaaca23d617cc7520d7d949b07ea0853c73d49aaa2e2a8e15ba45514fb04"
+
+POPULATION = 100
+ITERATIONS = 20
+SEEDS_PER_CELL = 2
+RESIZED = (("sphere", 1), ("rastrigin", 1), ("sphere", 3), ("rastrigin", 3),
+           ("rosenbrock", 3))
+
+
+def resized_spec(function_id: str, dim: int):
+    spec = spec_of(function_id)
+    space = SearchSpace(dim, spec.space.lower, spec.space.upper)
+    return replace(spec, dim=dim, space=space, known_argmin=spec.known_argmin[:1] * dim)
+
+
+def acor_digest() -> str:
+    cfg = AcorConfig(size=POPULATION, iterations=ITERATIONS)
+    assert cfg.resolved_sample_count == 25
+    cases = [spec_of(function_id) for function_id in list_functions()]
+    cases += [resized_spec(function_id, dim) for function_id, dim in RESIZED]
+    sink = hashlib.sha256()
+    for spec in cases:
+        for run_index in range(SEEDS_PER_CELL):
+            seed = derive_seed(spec.dim, spec.name, "aco", run_index)
+            _fold(sink, run_acor(_recording(spec, sink), cfg, RngStream(seed)))
+    return sink.hexdigest()
+
+
+def test_acor_digest_is_unchanged():
+    assert acor_digest() == GOLDEN_ACOR_DIGEST
