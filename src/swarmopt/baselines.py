@@ -8,13 +8,19 @@ pull, a single scalar per particle shared across coordinates as in the
 original bird-flock formulation (per-coordinate scaling converges too
 sharply on multimodal landscapes at small populations to match the
 reference behaviour this suite is checked against).
-ACO: the seeding batch, then per ant one uniform for guide selection,
-dim standard normals for the coordinate draws, and one uniform per
-out-of-bounds coordinate during repair.
+ACO: the seeding batch, then per ant one uniform for guide selection, dim
+standard normals for the coordinate draws, and one uniform per out-of-bounds
+coordinate during repair. The archive is fixed within an ACO iteration, so
+one (archive, coord, guide) array per iteration gives every guide's
+deviations. Summing its archive axis adds rows in order, as a per-guide
+np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise, the
+symmetric slice is summed over its contiguous last axis. Ants draw as before;
+only samples outside the box are repaired.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -190,6 +196,14 @@ def merge_archive(
     return all_positions[chosen], all_values[chosen]
 
 
+def _deviation_sums(positions: np.ndarray) -> np.ndarray:
+    """Row g is np.sum(np.abs(positions - positions[g]), axis=0), bit for bit."""
+    spread = np.abs(positions[:, :, None] - positions.T.copy()[None, :, :])
+    if positions.shape[1] == 1:
+        return spread[:, 0, :].sum(axis=1)[:, None]
+    return spread.sum(axis=0).T
+
+
 def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     """Continuous ant-colony optimization over a ranked solution archive.
 
@@ -211,24 +225,20 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     order = np.argsort(quality_key(values, mode), kind="stable")
     positions, values = positions[order], values[order]
 
-    weights = rank_weights(n, cfg.intent_factor)
-    cumulative = np.cumsum(weights)
+    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor)).tolist()
     sample_count = cfg.resolved_sample_count
+    dim, lower, upper = space.dim, space.lower, space.upper
     history = [float(values[0])]
 
     for _ in range(cfg.iterations):
-        sample_positions = np.empty((sample_count, space.dim))
+        deviations = cfg.deviation_ratio * _deviation_sums(positions) / (n - 1)
+        sample_positions = np.empty((sample_count, dim))
         sample_values = np.empty(sample_count)
         for ant in range(sample_count):
-            guide = int(np.searchsorted(cumulative, rng.uniform(), side="right"))
-            guide = min(guide, n - 1)
-            deviations = (
-                cfg.deviation_ratio
-                * np.sum(np.abs(positions - positions[guide]), axis=0)
-                / (n - 1)
-            )
-            drawn = positions[guide] + deviations * rng.standard_normal(space.dim)
-            drawn = repair_bounds(drawn, space, rng)
+            guide = min(bisect.bisect_right(cumulative, rng.generator.random()), n - 1)
+            drawn = positions[guide] + deviations[guide] * rng.generator.standard_normal(dim)
+            if not all(lower <= x <= upper for x in drawn.tolist()):
+                drawn = repair_bounds(drawn, space, rng)
             sample_positions[ant] = drawn
             sample_values[ant] = float(evaluate(drawn))
             evaluations += 1

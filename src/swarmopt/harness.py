@@ -358,8 +358,8 @@ def _execute_run(task) -> RunRecord:
             failed=math.isnan(result.best_value),
         )
     except Exception as exc:  # noqa: BLE001 - one bad run must not kill the sweep
-        print(f"warning: {function_id}/{algorithm_id} run {run_index} failed: {exc}",
-              file=sys.stderr)
+        print(f"warning: {function_id}/{algorithm_id} run {run_index} failed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return failed
 
 

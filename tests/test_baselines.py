@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swarmopt import baselines
 from swarmopt.baselines import (
     AcorConfig,
     PsoConfig,
@@ -18,6 +19,8 @@ from swarmopt.core import (
     OptimizationMode,
     RngStream,
     SearchSpace,
+    quality_key,
+    repair_bounds,
 )
 from swarmopt.benchmarks import ObjectiveSpec
 
@@ -234,3 +237,102 @@ def test_acor_improves_on_sphere():
     result = run_acor(spec_of("sphere"), AcorConfig(size=20, iterations=60), RngStream(4))
     assert result.best_value < 1e-2
     assert result.evaluations == 20 + 5 * 60
+
+
+def per_ant_acor(objective, cfg, rng):
+    """run_acor's loop one ant at a time: a searchsorted guide, a per-guide
+    np.sum of archive distances, and repair_bounds on every sample."""
+    space, evaluate, mode, n = objective.space, objective.evaluator, objective.mode, cfg.size
+    positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
+    values = np.array([float(evaluate(p)) for p in positions])
+    order = np.argsort(quality_key(values, mode), kind="stable")
+    positions, values = positions[order], values[order]
+    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
+    history = [float(values[0])]
+    evaluations = n
+    for _ in range(cfg.iterations):
+        sample_positions = np.empty((cfg.resolved_sample_count, space.dim))
+        sample_values = np.empty(cfg.resolved_sample_count)
+        for ant in range(cfg.resolved_sample_count):
+            guide = min(int(np.searchsorted(cumulative, rng.uniform(), side="right")), n - 1)
+            deviations = (cfg.deviation_ratio
+                          * np.sum(np.abs(positions - positions[guide]), axis=0) / (n - 1))
+            drawn = positions[guide] + deviations * rng.standard_normal(space.dim)
+            sample_positions[ant] = repair_bounds(drawn, space, rng)
+            sample_values[ant] = float(evaluate(sample_positions[ant]))
+            evaluations += 1
+        positions, values = merge_archive(
+            positions, values, sample_positions, sample_values, mode, n)
+        history.append(float(values[0]))
+    return values[0], positions[0], evaluations, history
+
+
+def test_acor_matches_its_per_ant_reference(monkeypatch):
+    # The quadratic's centre may lie up to half a box width outside the box,
+    # so archives crowd an edge and many samples leave it; a third of the
+    # cases return nan past a cut on the first coordinate.
+    repairs = []
+    monkeypatch.setattr(baselines, "repair_bounds",
+                        lambda *args: repairs.append(1) or repair_bounds(*args))
+    samples = 0
+    for case in range(60):
+        draw = np.random.default_rng(7_000 + case)
+        dim = int(draw.integers(1, 7))
+        lower, upper = float(draw.uniform(-8.0, -0.5)), float(draw.uniform(0.5, 8.0))
+        width = upper - lower
+        space = SearchSpace(dim, lower, upper)
+        center = draw.uniform(lower - width / 2, upper + width / 2, size=dim)
+        cut = float(draw.uniform(lower, upper))
+        sign = -1.0 if case % 2 else 1.0
+        mode = OptimizationMode.MAX if case % 2 else OptimizationMode.MIN
+
+        def quadratic(p, center=center, cut=cut, sign=sign, nan=case % 3 == 0):
+            return float("nan") if nan and p[0] > cut else sign * float(
+                (p - center) @ (p - center))
+
+        cfg = AcorConfig(size=int(draw.integers(2, 121)), iterations=int(draw.integers(2, 7)),
+                         sample_count=int(draw.integers(1, 31)),
+                         intent_factor=float(draw.uniform(0.05, 1.0)),
+                         deviation_ratio=float(draw.uniform(0.5, 2.5)))
+        seed = int(draw.integers(0, 2**63))
+        runs = []
+        for runner in (run_acor, per_ant_acor):
+            seen = []
+
+            def recorded(point, seen=seen):
+                value = quadratic(point)
+                seen.append(np.append(point, value).tobytes())
+                return value
+
+            rng = RngStream(seed)
+            result = runner(objective_from(recorded, space, mode), cfg, rng)
+            if runner is run_acor:
+                result = (result.best_value, result.best_position, result.evaluations,
+                          result.diagnostics["best_history"])
+            runs.append((seen, result, rng.generator.bit_generator.state))
+        (seen, result, state), (ref_seen, ref_result, ref_state) = runs
+        assert seen == ref_seen, case
+        best, position, evaluations, history = result
+        ref_best, ref_position, ref_evaluations, ref_history = ref_result
+        assert np.array_equal([best, *history], [ref_best, *ref_history], equal_nan=True)
+        assert np.array_equal(position, ref_position, equal_nan=True)
+        assert evaluations == ref_evaluations == len(seen)
+        assert state == ref_state, case
+        samples += evaluations - cfg.size
+    # both paths run: samples inside the box skip repair, the rest take it
+    assert samples // 3 < len(repairs) < samples - samples // 3
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_deviation_sums_round_like_per_guide_np_sum(dim):
+    # Pins numpy's reduction order: pairwise for a 1-D column (blocks of 8
+    # up to 128 values, split above), row by row over axis 0 otherwise.
+    draw = np.random.default_rng(dim)
+    for size in (2, 3, 7, 8, 9, 16, 17, 25, 100, 128, 129, 200):
+        scales = 10.0 ** draw.uniform(-4.0, 4.0, size=(size, 1))
+        positions = draw.normal(size=(size, dim)) * scales
+        positions[draw.integers(0, size, size=size // 3)] = positions[-1]
+        if size == 17:  # a nan makes every sum on its coordinate nan
+            positions[size // 2, dim - 1] = np.nan
+        expected = [np.sum(np.abs(positions - positions[g]), axis=0) for g in range(size)]
+        np.testing.assert_array_equal(baselines._deviation_sums(positions), expected)

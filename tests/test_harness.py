@@ -328,6 +328,22 @@ def test_failed_runs_are_flagged_not_fatal(tmp_path, monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
+def test_failure_warning_names_the_exception_type(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SWARM_OPT_THREADS", "1")
+    real_spec_of = harness.spec_of
+
+    def dividing_spec(function_id):
+        return replace(real_spec_of(function_id), evaluator=lambda point: 1 / 0)
+
+    monkeypatch.setattr(harness, "spec_of", dividing_spec)
+    cfg = load_config(tiny_config(tmp_path, functions=["booth"], algorithms=["aco"],
+                                  runs_per_cell=1))
+    [record] = run_experiment(cfg)
+    assert record.failed
+    assert capsys.readouterr().err == (
+        "warning: booth/aco run 0 failed: ZeroDivisionError: division by zero\n")
+
+
 def test_worker_count_env_parsing(monkeypatch):
     monkeypatch.setenv("SWARM_OPT_THREADS", "3")
     assert harness._worker_count(10) == 3
