@@ -14,8 +14,8 @@ coordinate during repair. The archive is fixed within an ACO iteration, so
 one (archive, coord, guide) array per iteration gives every guide's
 deviations. Summing its archive axis adds rows in order, as a per-guide
 np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise, the
-symmetric slice is summed over its contiguous last axis. Ants draw as before;
-only samples outside the box are repaired.
+symmetric slice is summed over its contiguous last axis. Only samples outside
+the box go through repair.
 """
 
 from __future__ import annotations
