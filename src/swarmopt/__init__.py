@@ -11,7 +11,6 @@ from .core import (
     UnknownFunctionError,
     derive_seed,
     error_rate,
-    euclidean_distance,
     k_nearest,
     repair_bounds,
     seed_population,

@@ -1,9 +1,11 @@
 """Bacterial colony optimizer: explore, exploit and reproduce stages.
 
-Each iteration runs the three stages in order, refreshes the global best
-from the population's personal bests, then checks the stagnation
-checkpoint. Randomness is consumed in a fixed order: the seeding batch;
-then per explore round and member the tumble direction normals plus one
+The stages minimise: run_abco hands them the evaluator from
+core.minimised, so a max-mode objective reaches them negated. Each
+iteration runs the three stages in order, refreshes the global best from
+the population's personal bests, then checks the stagnation checkpoint.
+Randomness is consumed in a fixed order: the seeding batch; then per
+explore round and member the tumble direction normals plus one
 uniform per out-of-bounds coordinate; the exploit stage draws one uniform
 per out-of-bounds coordinate of a step; the reproduce stage draws only
 when a lone survivor forces fresh reseeding.
@@ -27,13 +29,13 @@ import numpy as np
 
 from .core import (
     Bacterium,
-    OptimizationMode,
     OptimizerResult,
     RngStream,
     SearchSpace,
     at_least,
     check_fields,
     k_nearest,
+    minimised,
     non_negative,
     param,
     positive,
@@ -64,7 +66,7 @@ def _round_half_up(value: float) -> int:
 
 @dataclass
 class AbcoConfig:
-    """Tunables for one colony run.
+    """Tunables for one colony run. The direction is the objective's mode.
 
     size: population size.
     iterations: iteration budget.
@@ -77,7 +79,6 @@ class AbcoConfig:
     neighbor_count: neighbours considered for exploitation and regeneration.
     generation_gap: percent of the budget between stagnation checkpoints.
     unchanged_threshold: percent of frozen personal bests that stops the run.
-    mode: whether smaller or larger objective values win.
     """
 
     size: int = param(25, key="size", check=at_least(1), integer=True)
@@ -91,11 +92,8 @@ class AbcoConfig:
     neighbor_count: int = param(2, key="k", check=at_least(1), integer=True)
     generation_gap: float = param(25.0, key="generation_gap", check=up_to(100))
     unchanged_threshold: float = param(80.0, key="unchanged_threshold", check=up_to(100))
-    mode: OptimizationMode = OptimizationMode.MIN
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            self.mode = OptimizationMode(self.mode)
         check_fields(type(self), vars(self))
 
     @property
@@ -203,20 +201,19 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     the personal best before touching it, and record any strict gain as the
     new personal best. A gain above improvement_threshold is counted as a
     directed step. A non-finite evaluation rolls the member back to where
-    the round started. Gains are differences of quality keys, so one
-    subtraction serves both modes.
+    the round started. Gains are differences of quality keys, so a
+    non-finite personal best gains from any finite value.
     """
-    mode = cfg.mode
     threshold = cfg.improvement_threshold
     population = state.population
-    best_keys = quality_key(np.array([m.best_solution for m in population]), mode).tolist()
+    best_keys = quality_key(np.array([m.best_solution for m in population])).tolist()
     directed = rolled_back = 0
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
             rows = _tumble_round(population, cfg, space, rng)
             values = [float(objective(moved)) for moved in rows]
             state.evaluations += len(values)
-            keys = quality_key(np.array(values), mode).tolist()
+            keys = quality_key(np.array(values)).tolist()
             for index, (member, moved, value) in enumerate(zip(population, rows, values)):
                 if not math.isfinite(value):
                     rolled_back += 1
@@ -253,12 +250,11 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
         logger.warning("exploit stage skipped: population of one has no neighbours")
         _tally(state.diagnostics, exploit_skipped=1)
         return state
-    mode = cfg.mode
     k = min(cfg.neighbor_count, len(population) - 1)
     step_size = cfg.step_size
     lower, upper = space.lower, space.upper
     positions = np.array([member.position for member in population])
-    best_keys = quality_key(np.array([m.best_solution for m in population]), mode).tolist()
+    best_keys = quality_key(np.array([m.best_solution for m in population])).tolist()
     moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
         for index, member in enumerate(population):
@@ -282,7 +278,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
             positions[index] = moved
             member.solution = value
             moves += 1
-            key = quality_key(value, mode)
+            key = quality_key(value)
             if key < best_keys[index]:
                 member.best_solution = value
                 member.best_position = moved.copy()
@@ -294,17 +290,16 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
 def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Keep the best slice of the population and regenerate the rest.
 
-    Survivors are the top survivor_fraction under the mode's ordering of
-    current solutions (stable, so ties keep their original order). Each
-    replacement takes a guide from the survivors round-robin and places
-    itself at the linear-rank-weighted average of the k survivors closest
-    to the guide in that ranking (ties toward the better side), best of
-    the chosen weighted heaviest; with a single survivor the replacements
-    reseed uniformly instead. Replacements start their personal-best
-    memory from their own birth position.
+    Survivors are the survivor_fraction with the lowest current solutions
+    (stable, so ties keep their original order). Each replacement takes a
+    guide from the survivors round-robin and places itself at the
+    linear-rank-weighted average of the k survivors closest to the guide
+    in that ranking (ties toward the better side), best of the chosen
+    weighted heaviest; with a single survivor the replacements reseed
+    uniformly instead. Replacements start their personal-best memory from
+    their own birth position.
     """
-    mode = cfg.mode
-    ranked = sorted(state.population, key=lambda member: quality_key(member.solution, mode))
+    ranked = sorted(state.population, key=lambda member: quality_key(member.solution))
     survivors = ranked[: cfg.survivor_count]
     retained = len(survivors)
     needed = cfg.size - retained
@@ -375,10 +370,10 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
     return False
 
 
-def _refresh_global_best(state: RunState, mode: OptimizationMode):
-    keys = quality_key(np.array([m.best_solution for m in state.population]), mode)
+def _refresh_global_best(state: RunState):
+    keys = quality_key(np.array([m.best_solution for m in state.population]))
     best = int(keys.argmin())
-    if keys[best] < quality_key(state.global_best_value, mode):
+    if keys[best] < quality_key(state.global_best_value):
         champion = state.population[best]
         state.global_best_value = champion.best_solution
         state.global_best_position = champion.best_position.copy()
@@ -388,17 +383,17 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     """Seed the colony, iterate the three stages, report the best find.
 
     `objective` is an ObjectiveSpec; its evaluator and space drive the run
-    while cfg.mode decides the direction of improvement. The global best
+    and its mode decides the direction of improvement. The global best
     starts from the seeded population and is refreshed before and after
     reproduction each iteration, so it is the best value ever evaluated.
+    The reported best and history are the objective's own values.
     """
     started = time.perf_counter()
     space = objective.space
-    evaluator = objective.evaluator
-    mode = cfg.mode
+    evaluator, sign = minimised(objective)
 
     population = seed_population(space, cfg.size, evaluator, rng)
-    champion = min(population, key=lambda member: quality_key(member.best_solution, mode))
+    champion = min(population, key=lambda member: quality_key(member.best_solution))
     state = RunState(
         population=population,
         iteration=0,
@@ -414,17 +409,17 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
         exploit_stage(state, cfg, evaluator, space, rng)
         # Reproduction culls by current value, which can drop the member
         # holding the best personal record, so record it first.
-        _refresh_global_best(state, mode)
+        _refresh_global_best(state)
         reproduce_stage(state, cfg, evaluator, space, rng)
-        _refresh_global_best(state, mode)
-        state.diagnostics["best_history"].append(state.global_best_value)
+        _refresh_global_best(state)
+        state.diagnostics["best_history"].append(sign * state.global_best_value)
         state.iterations_executed = iteration
         if early_stop_check(state, cfg):
             state.early_stopped = True
             break
 
     return OptimizerResult(
-        best_value=state.global_best_value,
+        best_value=sign * state.global_best_value,
         best_position=state.global_best_position.copy(),
         iterations_executed=state.iterations_executed,
         evaluations=state.evaluations,

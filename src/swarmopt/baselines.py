@@ -15,7 +15,8 @@ one (archive, coord, guide) array per iteration gives every guide's
 deviations. Summing its archive axis adds rows in order, as a per-guide
 np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise, the
 symmetric slice is summed over its contiguous last axis. Only samples outside
-the box go through repair.
+the box go through repair. Both minimise the evaluator from core.minimised
+and report the objective's own values.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
-    OptimizationMode,
     OptimizerResult,
     RngStream,
     at_least,
-    better_than,
     check_fields,
+    minimised,
     param,
     positive,
     quality_key,
@@ -114,8 +114,7 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
     """
     started = time.perf_counter()
     space = objective.space
-    evaluate = objective.evaluator
-    mode = objective.mode
+    evaluate, sign = minimised(objective)
 
     positions = space.lower + (space.upper - space.lower) * rng.uniform(
         size=(cfg.size, space.dim)
@@ -126,10 +125,10 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
     best_positions = positions.copy()
     best_values = values.copy()
-    champion = int(np.argmin(quality_key(best_values, mode)))
+    champion = int(np.argmin(quality_key(best_values)))
     global_value = float(best_values[champion])
     global_position = best_positions[champion].copy()
-    history = [global_value]
+    history = [sign * global_value]
 
     for t in range(cfg.iterations):
         w = inertia_weight(cfg, t)
@@ -147,18 +146,18 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
         values = np.array([float(evaluate(p)) for p in positions])
         evaluations += cfg.size
-        improved = quality_key(values, mode) < quality_key(best_values, mode)
+        improved = quality_key(values) < quality_key(best_values)
         best_values = np.where(improved, values, best_values)
         best_positions[improved] = positions[improved]
 
-        champion = int(np.argmin(quality_key(best_values, mode)))
-        if better_than(float(best_values[champion]), global_value, mode):
+        champion = int(np.argmin(quality_key(best_values)))
+        if quality_key(float(best_values[champion])) < quality_key(global_value):
             global_value = float(best_values[champion])
             global_position = best_positions[champion].copy()
-        history.append(global_value)
+        history.append(sign * global_value)
 
     return OptimizerResult(
-        best_value=global_value,
+        best_value=sign * global_value,
         best_position=global_position.copy(),
         iterations_executed=cfg.iterations,
         evaluations=evaluations,
@@ -185,14 +184,13 @@ def merge_archive(
     values: np.ndarray,
     sample_positions: np.ndarray,
     sample_values: np.ndarray,
-    mode: OptimizationMode,
     keep: int,
 ):
-    """Best `keep` of archive plus samples, archive entries first on ties."""
+    """Lowest `keep` of archive plus samples, archive entries first on ties."""
     all_positions = np.concatenate([positions, sample_positions])
     all_values = np.concatenate([values, sample_values])
     # A stable sort on the keys keeps archive entries first on ties.
-    chosen = np.argsort(quality_key(all_values, mode), kind="stable")[:keep]
+    chosen = np.argsort(quality_key(all_values), kind="stable")[:keep]
     return all_positions[chosen], all_values[chosen]
 
 
@@ -215,20 +213,19 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     """
     started = time.perf_counter()
     space = objective.space
-    evaluate = objective.evaluator
-    mode = objective.mode
+    evaluate, sign = minimised(objective)
     n = cfg.size
 
     positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
     values = np.array([float(evaluate(p)) for p in positions])
     evaluations = n
-    order = np.argsort(quality_key(values, mode), kind="stable")
+    order = np.argsort(quality_key(values), kind="stable")
     positions, values = positions[order], values[order]
 
     cumulative = np.cumsum(rank_weights(n, cfg.intent_factor)).tolist()
     sample_count = cfg.resolved_sample_count
     dim, lower, upper = space.dim, space.lower, space.upper
-    history = [float(values[0])]
+    history = [sign * float(values[0])]
 
     for _ in range(cfg.iterations):
         deviations = cfg.deviation_ratio * _deviation_sums(positions) / (n - 1)
@@ -243,12 +240,12 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
             sample_values[ant] = float(evaluate(drawn))
             evaluations += 1
         positions, values = merge_archive(
-            positions, values, sample_positions, sample_values, mode, n
+            positions, values, sample_positions, sample_values, n
         )
-        history.append(float(values[0]))
+        history.append(sign * float(values[0]))
 
     return OptimizerResult(
-        best_value=float(values[0]),
+        best_value=sign * float(values[0]),
         best_position=positions[0].copy(),
         iterations_executed=cfg.iterations,
         evaluations=evaluations,

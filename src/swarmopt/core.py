@@ -29,10 +29,9 @@ __all__ = [
     "RngStream",
     "OptimizerResult",
     "derive_seed",
-    "better_than",
+    "minimised",
     "quality_key",
     "seed_population",
-    "euclidean_distance",
     "k_nearest",
     "repair_bounds",
     "error_rate",
@@ -118,27 +117,30 @@ class OptimizationMode(Enum):
     MAX = "max"
 
 
-def better_than(candidate: float, incumbent: float, mode: OptimizationMode) -> bool:
-    """True when `candidate` is a strictly better objective value than `incumbent`.
+def minimised(objective):
+    """The objective's evaluator as one to minimise, and the sign that undoes it.
 
-    This is quality_key's order: any finite value beats nan and ±inf.
+    Every optimizer minimises internally. In max mode this hands back the
+    negated evaluator and sign -1.0; multiplying a minimised value by the
+    sign gives back the value the objective returned. Negation is exact in
+    IEEE arithmetic, so minimising -f orders every pair of values as
+    maximising f does. A mode given as "min" or "max" is read as the enum.
     """
-    return quality_key(candidate, mode) < quality_key(incumbent, mode)
+    evaluator = objective.evaluator
+    if OptimizationMode(objective.mode) is OptimizationMode.MAX:
+        return (lambda point: -evaluator(point)), -1.0
+    return evaluator, 1.0
 
 
-def quality_key(value, mode: OptimizationMode):
-    """Sort key that places better objective values first under ascending order.
+def quality_key(value):
+    """Sort key that places smaller objective values first under ascending order.
 
     Takes a float or an array. nan and ±inf all map to +inf, so they rank
-    after every finite value and tie with each other. Negation is exact in
-    IEEE arithmetic, so min-mode sorts on f and max-mode sorts on -f order
-    identically when f is negated. This is what keeps the two modes mirror
-    images of each other.
+    after every finite value and tie with each other.
     """
-    key = value if mode is OptimizationMode.MIN else -value
-    if isinstance(key, np.ndarray):
-        return np.where(np.isfinite(key), key, np.inf)
-    return key if math.isfinite(key) else math.inf
+    if isinstance(value, np.ndarray):
+        return np.where(np.isfinite(value), value, np.inf)
+    return value if math.isfinite(value) else math.inf
 
 
 @dataclass(frozen=True)
@@ -255,30 +257,14 @@ def seed_population(space: SearchSpace, size: int, objective, rng: RngStream) ->
     return population
 
 
-def euclidean_distance(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def _position_matrix(population) -> np.ndarray:
-    if isinstance(population, np.ndarray):
-        return population
-    if len(population) > 0 and isinstance(population[0], Bacterium):
-        return np.array([member.position for member in population])
-    return np.asarray(population, dtype=float)
-
-
 def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]:
     """The k nearest other members, nearest first, as (index, distance) pairs.
 
     Returns min(k, size - 1) pairs. Distance ties break toward the lower
-    index so downstream stages stay deterministic. Accepts a list of
-    Bacterium or a plain (size, dim) position array.
+    index so downstream stages stay deterministic. `population` is the
+    (size, dim) matrix of member positions.
     """
-    matrix = _position_matrix(population)
+    matrix = np.asarray(population, dtype=float)
     size = matrix.shape[0]
     if size < 2:
         raise EmptyNeighbourhoodError("a population of one has no neighbours")

@@ -583,6 +583,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _positive_int("run", "--runs", args.runs)
     spec_of(args.function)
     cfg = _single_cell_config(args.algorithm, args.function, args)
     experiment_id = f"run-{args.algorithm}-{args.function}"

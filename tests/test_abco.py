@@ -25,7 +25,6 @@ from swarmopt.core import (
     OptimizationMode,
     RngStream,
     SearchSpace,
-    better_than,
     derive_seed,
     k_nearest,
     quality_key,
@@ -33,7 +32,7 @@ from swarmopt.core import (
     seed_population,
 )
 from swarmopt.harness import ABCO_KEYS, abco_preset
-from test_acceptance import random_case
+from test_acceptance import stage_case
 
 SPACE = SearchSpace(2, -5.0, 5.0)
 
@@ -69,7 +68,8 @@ def test_config_defaults_validate():
     cfg = AbcoConfig()
     assert cfg.size == 25
     assert cfg.iterations == 100
-    assert cfg.mode is OptimizationMode.MIN
+    with pytest.raises(TypeError, match="mode"):
+        AbcoConfig(mode="max")
 
 
 @pytest.mark.parametrize(
@@ -107,10 +107,6 @@ def test_checkpoint_period():
     assert AbcoConfig(iterations=100, generation_gap=25.0).checkpoint_period == 25
     assert AbcoConfig(iterations=10, generation_gap=25.0).checkpoint_period == 3
     assert AbcoConfig(iterations=3, generation_gap=1.0).checkpoint_period == 1
-
-
-def test_config_accepts_mode_string():
-    assert AbcoConfig(mode="max").mode is OptimizationMode.MAX
 
 
 # --- movement primitives ---------------------------------------------------
@@ -236,7 +232,7 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
     monkeypatch.setattr(abco, "tumble_step",
                         lambda *args: fallbacks.append(1) or tumble_step(*args))
     for case in range(60):
-        space, evaluator, cfg, _ = random_case(4_400 + case)
+        space, evaluator, cfg, _ = stage_case(4_400 + case)
         cut = space.upper - (space.upper - space.lower) / 8
 
         def holed(p, f=evaluator):
@@ -308,11 +304,11 @@ def test_exploit_moves_to_best_neighbour():
 
 
 def test_exploit_max_mode_inverts_target():
-    population = [member_at(0, 0, 7.0), member_at(1, 0, 5.0), member_at(0, 1, 9.0)]
-    cfg = AbcoConfig(size=3, neighbor_count=2, exploit_steps=1, mode="max")
+    # run_abco hands the stages a max-mode objective negated
+    population = [member_at(0, 0, -7.0), member_at(1, 0, -5.0), member_at(0, 1, -9.0)]
+    cfg = AbcoConfig(size=3, neighbor_count=2, exploit_steps=1)
     state = fresh_state(population)
-    state.global_best_value = 9.0
-    exploit_stage(state, cfg, tilted, SPACE, RngStream(1))
+    exploit_stage(state, cfg, lambda p: -tilted(p), SPACE, RngStream(1))
     assert np.allclose(state.population[0].position, (0.0, 1.0))
 
 
@@ -367,7 +363,7 @@ def test_reproduce_keeps_exactly_the_best():
     population = seed_population(SPACE, cfg.size, sphere, rng)
     oracle = sorted(
         range(len(population)),
-        key=lambda i: (quality_key(population[i].solution, cfg.mode), i),
+        key=lambda i: (quality_key(population[i].solution), i),
     )[: cfg.survivor_count]
     expected = [id(population[i]) for i in oracle]
     state = fresh_state(population)
@@ -417,8 +413,8 @@ def _bump(diagnostics, name):
 
 
 def reference_exploit(state, cfg, objective, space, rng):
-    """The exploit pass member by member: k_nearest, better_than,
-    move_toward, repair_bounds, then evaluate."""
+    """The exploit pass member by member: k_nearest, quality_key
+    comparisons, move_toward, repair_bounds, then evaluate."""
     population = state.population
     positions = np.array([member.position for member in population])
     for _ in range(cfg.exploit_steps):
@@ -426,7 +422,7 @@ def reference_exploit(state, cfg, objective, space, rng):
             target_index, target_value = None, member.best_solution
             for neighbour_index, _ in k_nearest(positions, index, cfg.neighbor_count):
                 candidate = population[neighbour_index].best_solution
-                if better_than(candidate, target_value, cfg.mode):
+                if quality_key(candidate) < quality_key(target_value):
                     target_index, target_value = neighbour_index, candidate
             if target_index is None:
                 continue
@@ -441,7 +437,7 @@ def reference_exploit(state, cfg, objective, space, rng):
             positions[index] = moved
             member.solution = value
             _bump(state.diagnostics, "exploit_moves")
-            if better_than(value, member.best_solution, cfg.mode):
+            if quality_key(value) < quality_key(member.best_solution):
                 member.best_solution = value
                 member.best_position = moved.copy()
     return state
@@ -449,7 +445,7 @@ def reference_exploit(state, cfg, objective, space, rng):
 
 def reference_reproduce(state, cfg, objective, space, rng):
     """Reproduction building and evaluating one replacement row at a time."""
-    ranked = sorted(state.population, key=lambda m: quality_key(m.solution, cfg.mode))
+    ranked = sorted(state.population, key=lambda m: quality_key(m.solution))
     survivors = ranked[: cfg.survivor_count]
     retained = len(survivors)
     needed = cfg.size - retained
@@ -487,7 +483,7 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
     monkeypatch.setattr(abco, "repair_bounds",
                         lambda *args: repairs.append(1) or repair_bounds(*args))
     for case in range(60):
-        space, evaluator, cfg, _ = random_case(5_500 + case)
+        space, evaluator, cfg, _ = stage_case(5_500 + case)
         width = space.upper - space.lower
         wide = SearchSpace(space.dim, space.lower - width / 4, space.upper + width / 4)
         start_space = wide if case % 2 else space
@@ -589,6 +585,7 @@ def test_run_abco_stops_on_stagnation():
     class Flat:
         space = SPACE
         evaluator = staticmethod(lambda p: 1.0)
+        mode = OptimizationMode.MIN
 
     cfg = AbcoConfig(size=6, iterations=20, generation_gap=25.0, unchanged_threshold=80.0)
     result = run_abco(Flat(), cfg, RngStream(3))
@@ -603,15 +600,16 @@ def test_run_abco_max_mode_negates_min_mode():
     class Neg:
         space = SPACE
         evaluator = staticmethod(neg)
+        mode = OptimizationMode.MAX
 
     class Pos:
         space = SPACE
         evaluator = staticmethod(sphere)
+        mode = OptimizationMode.MIN
 
-    cfg_min = AbcoConfig(size=6, iterations=8)
-    cfg_max = AbcoConfig(size=6, iterations=8, mode="max")
-    low = run_abco(Pos(), cfg_min, RngStream(9))
-    high = run_abco(Neg(), cfg_max, RngStream(9))
+    cfg = AbcoConfig(size=6, iterations=8)
+    low = run_abco(Pos(), cfg, RngStream(9))
+    high = run_abco(Neg(), cfg, RngStream(9))
     assert high.best_value == pytest.approx(-low.best_value)
     assert np.array_equal(high.best_position, low.best_position)
     assert high.iterations_executed == low.iterations_executed

@@ -29,11 +29,10 @@ from swarmopt.core import (
     OptimizationMode,
     RngStream,
     SearchSpace,
-    better_than,
     derive_seed,
     error_rate,
-    euclidean_distance,
     k_nearest,
+    minimised,
     quality_key,
     seed_population,
 )
@@ -58,11 +57,12 @@ def colony_config(function_id: str, size: int, **overrides) -> AbcoConfig:
     return AbcoConfig(**kwargs)
 
 
-def random_case(case_seed: int, *, iteration_span=(4, 12)):
-    """One randomized colony setup: space, evaluator, config, stream.
+def random_objective(case_seed: int):
+    """One randomized colony setup: objective, config, stream.
 
     The evaluator is a shifted quadratic with a linear tilt, smooth and
-    free of ties. step_size may exceed the box width to stress repair.
+    free of ties, and the direction is drawn too. step_size may exceed the
+    box width to stress repair.
     """
     draw = np.random.default_rng(case_seed)
     lower = float(draw.uniform(-8.0, -0.5))
@@ -78,7 +78,7 @@ def random_case(case_seed: int, *, iteration_span=(4, 12)):
 
     cfg = AbcoConfig(
         size=int(draw.integers(2, 9)),
-        iterations=int(draw.integers(*iteration_span)),
+        iterations=int(draw.integers(4, 12)),
         step_size=float(draw.uniform(0.1, 1.5 * (upper - lower))),
         explore_steps=int(draw.integers(1, 3)),
         exploit_steps=int(draw.integers(1, 3)),
@@ -88,15 +88,31 @@ def random_case(case_seed: int, *, iteration_span=(4, 12)):
         neighbor_count=int(draw.integers(1, 6)),
         generation_gap=float(draw.uniform(10.0, 60.0)),
         unchanged_threshold=float(draw.uniform(40.0, 100.0)),
-        mode=MIN if draw.uniform() < 0.5 else MAX,
     )
+    mode = MIN if draw.uniform() < 0.5 else MAX
     stream = RngStream(int(draw.integers(0, 2**63)))
-    return space, evaluator, cfg, stream
+    return adhoc_objective(space, evaluator, mode), cfg, stream
+
+
+def random_case(case_seed: int):
+    """random_objective's case as space, evaluator, config and stream.
+
+    The evaluator is the objective's own; callers set the direction.
+    """
+    objective, cfg, stream = random_objective(case_seed)
+    return objective.space, objective.evaluator, cfg, stream
+
+
+def stage_case(case_seed: int):
+    """random_objective's case as run_abco hands it to the colony stages:
+    space, the evaluator from minimised, config and stream."""
+    objective, cfg, stream = random_objective(case_seed)
+    return objective.space, minimised(objective)[0], cfg, stream
 
 
 def fresh_state(space, evaluator, cfg, stream) -> RunState:
     population = seed_population(space, cfg.size, evaluator, stream)
-    champion = min(population, key=lambda m: quality_key(m.best_solution, cfg.mode))
+    champion = min(population, key=lambda m: quality_key(m.best_solution))
     return RunState(
         population=population,
         iteration=1,
@@ -249,7 +265,7 @@ def test_criterion_5_runtime_and_evaluations_scale_with_population():
 
 def test_criterion_6_bounds_hold_after_every_stage():
     for case in range(100):
-        space, evaluator, cfg, stream = random_case(6_100 + case)
+        space, evaluator, cfg, stream = stage_case(6_100 + case)
         state = fresh_state(space, evaluator, cfg, stream)
         for stage in (explore_stage, exploit_stage, reproduce_stage):
             stage(state, cfg, evaluator, space, stream)
@@ -262,14 +278,14 @@ def test_criterion_6_best_values_never_worsen():
     # stage level: explore and exploit keep every member's record, and
     # reproduction never touches a survivor's memory
     for case in range(100):
-        space, evaluator, cfg, stream = random_case(6_200 + case)
+        space, evaluator, cfg, stream = stage_case(6_200 + case)
         state = fresh_state(space, evaluator, cfg, stream)
         for stage in (explore_stage, exploit_stage):
             before = [(id(m), m.best_solution) for m in state.population]
             stage(state, cfg, evaluator, space, stream)
             for (identity, old), member in zip(before, state.population):
                 assert id(member) == identity
-                assert not better_than(old, member.best_solution, cfg.mode)
+                assert not quality_key(old) < quality_key(member.best_solution)
         kept = {id(m): m.best_solution for m in state.population}
         reproduce_stage(state, cfg, evaluator, space, stream)
         for member in state.population:
@@ -278,18 +294,19 @@ def test_criterion_6_best_values_never_worsen():
 
     # run level: the reported trajectory is monotone and ends at the result
     for case in range(30):
-        space, evaluator, cfg, stream = random_case(6_250 + case)
-        result = run_abco(adhoc_objective(space, evaluator, cfg.mode), cfg, stream)
+        objective, cfg, stream = random_objective(6_250 + case)
+        _, sign = minimised(objective)
+        result = run_abco(objective, cfg, stream)
         history = result.diagnostics["best_history"]
         assert len(history) == result.iterations_executed
         for earlier, later in zip(history, history[1:]):
-            assert not better_than(earlier, later, cfg.mode)
+            assert not quality_key(sign * earlier) < quality_key(sign * later)
         assert result.best_value == history[-1]
 
 
 def test_criterion_6_population_size_is_conserved_through_reproduction():
     for case in range(120):
-        space, evaluator, cfg, stream = random_case(6_300 + case)
+        space, evaluator, cfg, stream = stage_case(6_300 + case)
         state = fresh_state(space, evaluator, cfg, stream)
         explore_stage(state, cfg, evaluator, space, stream)
         reproduce_stage(state, cfg, evaluator, space, stream)
@@ -304,7 +321,7 @@ def test_criterion_6_population_size_is_conserved_through_reproduction():
 
 def test_criterion_6_survivors_equal_sort_oracle_prefix():
     for case in range(120):
-        space, evaluator, cfg, stream = random_case(6_400 + case)
+        space, evaluator, cfg, stream = stage_case(6_400 + case)
         state = fresh_state(space, evaluator, cfg, stream)
         if case % 3 == 0:
             # inject duplicated objective values to exercise tie stability
@@ -315,7 +332,7 @@ def test_criterion_6_survivors_equal_sort_oracle_prefix():
             id(member)
             for member in sorted(
                 state.population,
-                key=lambda m: quality_key(m.solution, cfg.mode),
+                key=lambda m: quality_key(m.solution),
             )[: cfg.survivor_count]
         ]
         reproduce_stage(state, cfg, evaluator, space, stream)
@@ -333,7 +350,7 @@ def test_criterion_6_k_nearest_matches_brute_force():
         requested = int(draw.integers(1, count + 3))
         effective = min(requested, count - 1)
         oracle = sorted(
-            ((euclidean_distance(points[j], points[subject]), j)
+            ((float(np.linalg.norm(points[j] - points[subject])), j)
              for j in range(count) if j != subject),
         )[:effective]
         got = k_nearest(points, subject, requested)
@@ -343,7 +360,7 @@ def test_criterion_6_k_nearest_matches_brute_force():
 
 
 def test_criterion_6_min_max_duality():
-    # negating the objective and flipping the mode must mirror every
+    # negating the objective and flipping the spec's mode must mirror every
     # decision, so both runs land on the same positions with opposite signs
     def negated(evaluator):
         return lambda point: -evaluator(point)
@@ -351,10 +368,9 @@ def test_criterion_6_min_max_duality():
     for case in range(60):
         space, evaluator, cfg, _ = random_case(6_600 + case)
         seed = 6_600_000 + case
-        low = run_abco(adhoc_objective(space, evaluator, MIN),
-                       replace(cfg, mode=MIN), RngStream(seed))
-        high = run_abco(adhoc_objective(space, negated(evaluator), MAX),
-                        replace(cfg, mode=MAX), RngStream(seed))
+        low = run_abco(adhoc_objective(space, evaluator, MIN), cfg, RngStream(seed))
+        high = run_abco(adhoc_objective(space, negated(evaluator), MAX), cfg,
+                        RngStream(seed))
         assert high.best_value == -low.best_value
         assert np.array_equal(high.best_position, low.best_position)
         assert high.iterations_executed == low.iterations_executed

@@ -19,6 +19,7 @@ from swarmopt.core import (
     OptimizationMode,
     RngStream,
     SearchSpace,
+    minimised,
     quality_key,
     repair_bounds,
 )
@@ -180,7 +181,7 @@ def test_merge_archive_keeps_the_best_sorted():
         samples = rng.uniform(-1, 1, size=(int(rng.integers(1, 6)), 2))
         sample_values = rng.uniform(0, 10, size=samples.shape[0])
         positions, values = merge_archive(
-            archive, archive_values, samples, sample_values, OptimizationMode.MIN, keep
+            archive, archive_values, samples, sample_values, keep
         )
         pool = np.concatenate([archive_values, sample_values])
         assert np.array_equal(values, np.sort(pool)[:keep])
@@ -191,7 +192,7 @@ def test_merge_archive_prefers_incumbents_on_ties():
     archive = np.array([[1.0, 1.0]])
     samples = np.array([[2.0, 2.0]])
     positions, values = merge_archive(
-        archive, np.array([5.0]), samples, np.array([5.0]), OptimizationMode.MIN, 1
+        archive, np.array([5.0]), samples, np.array([5.0]), 1
     )
     assert np.array_equal(positions[0], [1.0, 1.0])
     assert values[0] == 5.0
@@ -242,13 +243,14 @@ def test_acor_improves_on_sphere():
 def per_ant_acor(objective, cfg, rng):
     """run_acor's loop one ant at a time: a searchsorted guide, a per-guide
     np.sum of archive distances, and repair_bounds on every sample."""
-    space, evaluate, mode, n = objective.space, objective.evaluator, objective.mode, cfg.size
+    space, n = objective.space, cfg.size
+    evaluate, sign = minimised(objective)
     positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
     values = np.array([float(evaluate(p)) for p in positions])
-    order = np.argsort(quality_key(values, mode), kind="stable")
+    order = np.argsort(quality_key(values), kind="stable")
     positions, values = positions[order], values[order]
     cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
-    history = [float(values[0])]
+    history = [sign * float(values[0])]
     evaluations = n
     for _ in range(cfg.iterations):
         sample_positions = np.empty((cfg.resolved_sample_count, space.dim))
@@ -262,9 +264,9 @@ def per_ant_acor(objective, cfg, rng):
             sample_values[ant] = float(evaluate(sample_positions[ant]))
             evaluations += 1
         positions, values = merge_archive(
-            positions, values, sample_positions, sample_values, mode, n)
-        history.append(float(values[0]))
-    return values[0], positions[0], evaluations, history
+            positions, values, sample_positions, sample_values, n)
+        history.append(sign * float(values[0]))
+    return sign * values[0], positions[0], evaluations, history
 
 
 def test_acor_matches_its_per_ant_reference(monkeypatch):

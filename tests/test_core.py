@@ -1,22 +1,22 @@
 """Seeding, RNG streams, geometry and bounds primitives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swarmopt.benchmarks import spec_of
 from swarmopt.core import (
-    Bacterium,
     ConfigurationError,
     EmptyNeighbourhoodError,
     OptimizationMode,
     RngStream,
     SearchSpace,
-    better_than,
     derive_seed,
     error_rate,
-    euclidean_distance,
     k_nearest,
+    minimised,
     quality_key,
     repair_bounds,
     seed_population,
@@ -88,36 +88,39 @@ def test_seed_population_rejects_empty():
         seed_population(SearchSpace(2, 0.0, 1.0), 0, lambda p: 0.0, RngStream(1))
 
 
-def test_euclidean_distance():
-    assert euclidean_distance((0, 0), (3, 4)) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        euclidean_distance((0, 0), (0, 0, 0))
-
-
 def test_quality_key_duality():
-    assert better_than(1.0, 2.0, OptimizationMode.MIN)
-    assert better_than(2.0, 1.0, OptimizationMode.MAX)
-    assert not better_than(1.0, 1.0, OptimizationMode.MIN)
+    assert quality_key(1.0) < quality_key(2.0)
+    assert not quality_key(1.0) < quality_key(1.0)
     values = [3.0, -1.0, 2.5]
-    by_min = sorted(values, key=lambda v: quality_key(v, OptimizationMode.MIN))
-    by_max = sorted(values, key=lambda v: quality_key(v, OptimizationMode.MAX))
-    assert by_min == [-1.0, 2.5, 3.0]
+    assert sorted(values, key=quality_key) == [-1.0, 2.5, 3.0]
+
+    spec = spec_of("sphere")
+    assert minimised(spec) == (spec.evaluator, 1.0)
+    negated, sign = minimised(replace(spec, evaluator=lambda p: p[0],
+                                      mode=OptimizationMode.MAX))
+    assert sign == -1.0
+    by_max = sorted(values, key=lambda v: quality_key(negated([v])))
     assert by_max == [3.0, 2.5, -1.0]
+    assert [sign * negated([v]) for v in values] == values
+    assert minimised(replace(spec, mode="max"))[1] == -1.0
+    with pytest.raises(ValueError):
+        minimised(replace(spec, mode="up"))
 
 
 def test_quality_key_ranks_non_finite_values_worst():
     nan, inf = float("nan"), float("inf")
     values = [nan, 2.0, -inf, -1.0, inf, 1e308]
-    for mode in OptimizationMode:
-        keys = quality_key(np.array(values), mode)
-        assert keys.tolist() == [quality_key(v, mode) for v in values]
-        order = np.argsort(keys, kind="stable").tolist()
-        finite = [i for i in order if math.isfinite(values[i])]
-        assert order == finite + [0, 2, 4]
-        for bad in (nan, inf, -inf):
-            assert better_than(-1e308, bad, mode) and better_than(1e308, bad, mode)
-            assert not better_than(bad, 0.0, mode)
-            assert not better_than(bad, nan, mode) and not better_than(nan, bad, mode)
+    keys = quality_key(np.array(values))
+    assert keys.tolist() == [quality_key(v) for v in values]
+    order = np.argsort(keys, kind="stable").tolist()
+    finite = [i for i in order if math.isfinite(values[i])]
+    assert order == finite + [0, 2, 4]
+    for bad in (nan, inf, -inf):
+        for good in (-1e308, 1e308, 0.0):
+            assert quality_key(good) < quality_key(bad)
+            assert not quality_key(bad) < quality_key(good)
+        assert not quality_key(bad) < quality_key(nan)
+        assert not quality_key(nan) < quality_key(bad)
 
 
 def _brute_force_neighbours(positions, subject, k):
@@ -180,14 +183,6 @@ def test_k_nearest_clamps_and_rejects():
         k_nearest(positions, 0, 0)
     with pytest.raises(ValueError):
         k_nearest(positions, 5, 1)
-
-
-def test_k_nearest_accepts_bacteria():
-    members = [
-        Bacterium(np.array([float(i), 0.0]), 0.0, np.array([float(i), 0.0]), 0.0, 0.0)
-        for i in range(4)
-    ]
-    assert [i for i, _ in k_nearest(members, 0, 2)] == [1, 2]
 
 
 def test_repair_bounds_passthrough_consumes_nothing():

@@ -69,7 +69,6 @@ def trajectory_digest() -> str:
         space, evaluator, cfg, stream = random_case(9_000 + case)
         objective = adhoc_objective(space, lambda p, f=evaluator: -f(p),
                                     OptimizationMode.MAX)
-        cfg = replace(cfg, mode=OptimizationMode.MAX)
         _fold(sink, run_abco(_recording(objective, sink), cfg, stream))
     return sink.hexdigest()
 

@@ -546,6 +546,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         "--param", "k=[1]",
     ]) == 1
     assert "error: run: abco.k expects a number" in capsys.readouterr().err
+    out = tmp_path / "f.csv"
+    for runs in ("0", "-2"):
+        assert cli_main([
+            "run", "--algorithm", "pso", "--function", "booth",
+            "--runs", runs, "--out", str(out),
+        ]) == 1
+        assert f"error: run: --runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_run_writes_records(tmp_path, capsys):
