@@ -4,15 +4,15 @@ The stages minimise: run_abco hands them the evaluator from
 core.minimised, so a max-mode objective reaches them negated. Each
 iteration runs the three stages in order, refreshes the global best from
 the population's personal bests, then checks the stagnation checkpoint.
-Randomness is consumed in a fixed order: the seeding batch; then per
-explore round and member the tumble direction normals plus one
-uniform per out-of-bounds coordinate; the exploit stage draws one uniform
-per out-of-bounds coordinate of a step; the reproduce stage draws only
-when a lone survivor forces fresh reseeding.
+Search randomness is consumed in a fixed order: the seeding batch; then
+per explore round one (size, dim) batch of direction normals, then a
+redraw of each all-zero row in row order; reproduce draws only when a
+lone survivor forces fresh reseeding. Repairs draw from the stream's
+repair generator: after each explore round row by row, and in exploit
+per step as it is taken.
 
-Explore draws a round's normals in one batch, rewound at the first member
-that needs more draws. numpy fills a batch with the same sequential
-normals as single draws, so that is the stream of one tumble_step each.
+numpy fills a batch with the same sequential normals as single draws, so
+a round without zero rows draws what one tumble_step per member would.
 Exploit queries k_nearest per member on one live position matrix and
 repairs only steps that leave the box. Reproduce builds its replacements
 in k matrix steps with the same per-element arithmetic as row by row.
@@ -135,7 +135,7 @@ def tumble_step(
 
     The direction comes from normalised standard normals, redrawn in the
     (measure-zero) case of an all-zero draw, so it is isotropic in any
-    dimension. The result is repaired into bounds.
+    dimension. The result is repaired into bounds, on the repair stream.
     """
     norm = 0.0
     while norm == 0.0:
@@ -146,34 +146,25 @@ def tumble_step(
 
 
 def _tumble_round(population, cfg: AbcoConfig, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Every member's tumble_step move for one round, as matrix rows.
+    """Every member's tumble for one round, as matrix rows.
 
-    The rows draw one batch. The first row that needs more draws (out of
-    bounds, or a zero direction) rewinds the stream to the batch start,
-    redraws the rows before it and takes tumble_step; a new batch follows.
+    One batch of directions; an all-zero row is redrawn after the batch,
+    in row order. Rows that leave the box then go through repair_bounds in
+    row order. Per row the arithmetic is tumble_step's.
     """
     positions = np.array([member.position for member in population])
     size, dim = positions.shape
-    moved = np.empty_like(positions)
-    bit_generator = rng.generator.bit_generator
-    start = 0
-    while start < size:
-        saved = bit_generator.state
-        directions = rng.standard_normal((size - start, dim))
-        # Stacked matmul gives the same squared norm as direction @ direction.
-        squared = (directions[:, None, :] @ directions[:, :, None]).ravel()
-        # A zero direction makes a nan row, which fails the bounds test too.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = positions[start:] + (cfg.step_size / np.sqrt(squared))[:, None] * directions
-        settled = ((steps >= space.lower) & (steps <= space.upper)).all(axis=1)
-        accepted = len(settled) if settled.all() else int(settled.argmin())
-        moved[start:start + accepted] = steps[:accepted]
-        start += accepted
-        if start < size:
-            bit_generator.state = saved
-            rng.standard_normal((accepted, dim))
-            moved[start] = tumble_step(population[start], cfg, space, rng)
-            start += 1
+    directions = rng.standard_normal((size, dim))
+    # Stacked matmul gives the same squared norm as direction @ direction.
+    squared = (directions[:, None, :] @ directions[:, :, None]).ravel()
+    for row in np.flatnonzero(squared == 0.0):
+        while squared[row] == 0.0:
+            directions[row] = rng.standard_normal(dim)
+            squared[row] = directions[row] @ directions[row]
+    moved = positions + (cfg.step_size / np.sqrt(squared))[:, None] * directions
+    inside = ((moved >= space.lower) & (moved <= space.upper)).all(axis=1)
+    for row in np.flatnonzero(~inside):
+        moved[row] = repair_bounds(moved[row], space, rng)
     return moved
 
 

@@ -8,20 +8,19 @@ pull, a single scalar per particle shared across coordinates as in the
 original bird-flock formulation (per-coordinate scaling converges too
 sharply on multimodal landscapes at small populations to match the
 reference behaviour this suite is checked against).
-ACO: the seeding batch, then per ant one uniform for guide selection, dim
-standard normals for the coordinate draws, and one uniform per out-of-bounds
-coordinate during repair. The archive is fixed within an ACO iteration, so
-one (archive, coord, guide) array per iteration gives every guide's
-deviations. Summing its archive axis adds rows in order, as a per-guide
-np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise, the
-symmetric slice is summed over its contiguous last axis. Only samples outside
-the box go through repair. Both minimise the evaluator from core.minimised
-and report the objective's own values.
+ACO: the seeding batch, then per iteration one (sample_count,) uniform
+batch for the ants' guides and one (sample_count, dim) normal batch. The
+archive is fixed within an iteration, as in ACO_R, so one (archive, coord,
+guide) array gives every guide's deviations. Summing its archive axis adds
+rows in order, as a per-guide np.sum(axis=0) does at dim >= 2; at dim 1,
+where numpy sums pairwise, the symmetric slice is summed over its
+contiguous last axis. Only samples outside the box go through repair, in
+ant order. Both minimise the evaluator from core.minimised and report the
+objective's own values.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -222,26 +221,22 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     order = np.argsort(quality_key(values), kind="stable")
     positions, values = positions[order], values[order]
 
-    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor)).tolist()
+    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
     sample_count = cfg.resolved_sample_count
-    dim, lower, upper = space.dim, space.lower, space.upper
     history = [sign * float(values[0])]
 
     for _ in range(cfg.iterations):
         deviations = cfg.deviation_ratio * _deviation_sums(positions) / (n - 1)
-        sample_positions = np.empty((sample_count, dim))
-        sample_values = np.empty(sample_count)
-        for ant in range(sample_count):
-            guide = min(bisect.bisect_right(cumulative, rng.generator.random()), n - 1)
-            drawn = positions[guide] + deviations[guide] * rng.generator.standard_normal(dim)
-            if not all(lower <= x <= upper for x in drawn.tolist()):
-                drawn = repair_bounds(drawn, space, rng)
-            sample_positions[ant] = drawn
-            sample_values[ant] = float(evaluate(drawn))
-            evaluations += 1
-        positions, values = merge_archive(
-            positions, values, sample_positions, sample_values, n
-        )
+        picks = rng.generator.random(sample_count)
+        guides = np.minimum(np.searchsorted(cumulative, picks, side="right"), n - 1)
+        samples = positions[guides] + deviations[guides] * rng.generator.standard_normal(
+            (sample_count, space.dim))
+        inside = ((samples >= space.lower) & (samples <= space.upper)).all(axis=1)
+        for ant in np.flatnonzero(~inside):
+            samples[ant] = repair_bounds(samples[ant], space, rng)
+        sample_values = np.array([float(evaluate(p)) for p in samples])
+        evaluations += sample_count
+        positions, values = merge_archive(positions, values, samples, sample_values, n)
         history.append(sign * float(values[0]))
 
     return OptimizerResult(

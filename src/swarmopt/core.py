@@ -2,9 +2,10 @@
 
 Everything stochastic in this package draws from an explicitly seeded
 RngStream, never from global numpy state, so any run can be replayed bit
-for bit. Draws are consumed in a documented fixed order (population
-seeding first, then the per-iteration stage order defined by each
-optimizer), which is what makes the experiment harness deterministic.
+for bit. Search draws and bounds repairs come from two independent
+generators, each consumed in a documented fixed order (population seeding
+first, then the per-iteration stage order defined by each optimizer), which
+is what makes the experiment harness deterministic.
 """
 
 from __future__ import annotations
@@ -201,12 +202,16 @@ class RngStream:
 
     All stochastic routines in this package take one of these and consume
     draws in a documented order; sharing a stream between concurrent runs
-    would break replayability.
+    would break replayability. Search draws come from `generator`, PCG64 on
+    the seed; repair_bounds draws only from `repairs`, PCG64 on the seed's
+    first SeedSequence child, so no search draw depends on a repair.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        self.repairs = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(self.seed).spawn(1)[0]))
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self.generator.uniform(low, high, size)
@@ -288,8 +293,8 @@ def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:
     """Copy of `position` with every out-of-bounds coordinate resampled.
 
     In-bounds coordinates pass through untouched; violating ones are
-    redrawn uniformly from [lower, upper] one at a time in ascending
-    coordinate order, which keeps the draw sequence replayable.
+    redrawn uniformly from [lower, upper] on the stream's `repairs`
+    generator, one at a time in ascending coordinate order.
     """
     repaired = np.array(position, dtype=float)
     if repaired.shape != (space.dim,):
@@ -299,7 +304,7 @@ def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:
     lower, upper = space.lower, space.upper
     for i, value in enumerate(repaired.tolist()):
         if not lower <= value <= upper:
-            repaired[i] = rng.uniform(lower, upper)
+            repaired[i] = rng.repairs.uniform(lower, upper)
     return repaired
 
 

@@ -584,6 +584,9 @@ def _cmd_list(_args) -> int:
 
 def _cmd_run(args) -> int:
     _positive_int("run", "--runs", args.runs)
+    _positive_int("run", "--iters", args.iters)
+    if args.pop_size is not None:
+        _positive_int("run", "--pop-size", args.pop_size)
     spec_of(args.function)
     cfg = _single_cell_config(args.algorithm, args.function, args)
     experiment_id = f"run-{args.algorithm}-{args.function}"

@@ -33,6 +33,7 @@ from swarmopt.core import (
 )
 from swarmopt.harness import ABCO_KEYS, abco_preset
 from test_acceptance import stage_case
+from test_core import repaired_row_major
 
 SPACE = SearchSpace(2, -5.0, 5.0)
 
@@ -213,24 +214,20 @@ def snapshot(state, rng):
         state.evaluations,
         state.diagnostics,
         rng.generator.bit_generator.state,
+        rng.repairs.bit_generator.state,
     )
-
-
-def batched_and_reference(monkeypatch, explore):
-    """snapshot after explore(), batched and with tumble_step per member."""
-    batched = explore()
-    with monkeypatch.context() as patch:
-        patch.setattr(abco, "_tumble_round", one_tumble_step_per_member)
-        reference = explore()
-    return batched, reference
 
 
 def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
     # step_size reaches 1.5 box widths, so many tumbles leave the box and
-    # the batch rewinds; a nan region adds rollbacks.
-    fallbacks, tumbles = [], 0
-    monkeypatch.setattr(abco, "tumble_step",
-                        lambda *args: fallbacks.append(1) or tumble_step(*args))
+    # are repaired; a nan region adds rollbacks. Only the batched run
+    # counts its repairs: tumble_step calls repair_bounds on every tumble.
+    repairs, tumbles = [], 0
+
+    def counted(*args):
+        repairs.append(1)
+        return repair_bounds(*args)
+
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(4_400 + case)
         cut = space.upper - (space.upper - space.lower) / 8
@@ -244,47 +241,87 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
             explore_stage(state, cfg, holed, space, rng)
             return snapshot(state, rng)
 
-        batched, reference = batched_and_reference(monkeypatch, explore)
+        with monkeypatch.context() as patch:
+            patch.setattr(abco, "repair_bounds", counted)
+            batched = explore()
+        with monkeypatch.context() as patch:
+            patch.setattr(abco, "_tumble_round", one_tumble_step_per_member)
+            reference = explore()
         assert batched == reference, case
         tumbles += cfg.size * cfg.explore_steps * cfg.tumble_steps
-    assert 0 < len(fallbacks) < tumbles
+    assert 0 < len(repairs) < tumbles
+
+
+def test_explore_round_repairs_row_major_on_the_repair_stream():
+    # A step of up to a box width sends many rows of the round outside.
+    repaired_rows = 0
+    for case in range(40):
+        draw = np.random.default_rng(9_100 + case)
+        dim, size = int(draw.integers(1, 7)), int(draw.integers(2, 40))
+        space = SearchSpace(dim, -2.0, 3.0)
+        cfg = AbcoConfig(size=size, step_size=float(draw.uniform(0.5, 5.0)),
+                         explore_steps=1, tumble_steps=1)
+        positions = draw.uniform(space.lower, space.upper, size=(size, dim))
+        population = [Bacterium(p.copy(), 0.0, p.copy(), 0.0, 0.0) for p in positions]
+        seen = []
+        rng = RngStream(case)
+        explore_stage(fresh_state(population), cfg,
+                      lambda p: seen.append(p.copy()) or 1.0, space, rng)
+
+        reference = RngStream(case)
+        directions = reference.generator.standard_normal((size, dim))
+        steps = [position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
+                 for position, direction in zip(positions, directions)]
+        expected = repaired_row_major(steps, space, reference.repairs)
+        assert np.array_equal(seen, expected), case
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+        assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
+        repaired_rows += int((expected != np.array(steps)).any(axis=1).sum())
+    assert repaired_rows > 200
 
 
 class ZeroDirectionStream(RngStream):
-    """A stream whose draw of one given direction comes back all zero."""
+    """A stream whose draws of the given direction rows come back all zero."""
 
-    def __init__(self, seed, direction):
+    def __init__(self, seed, directions):
         super().__init__(seed)
-        self.direction = direction
+        self.directions = np.asarray(directions)
         self.zeroed = 0
 
     def standard_normal(self, size=None):
         draws = self.generator.standard_normal(size)
-        rows = draws.reshape(-1, len(self.direction))
-        hits = (rows == self.direction).all(axis=1)
+        rows = draws.reshape(-1, self.directions.shape[1])
+        hits = (rows[:, None, :] == self.directions[None]).all(axis=2).any(axis=1)
         rows[hits] = 0.0
         self.zeroed += int(hits.sum())
         return draws
 
 
-def test_explore_redraws_a_zero_direction_like_tumble_step(monkeypatch):
-    # No tumble leaves the box, so the eleventh direction drawn is member
-    # 2's in the second round; it comes back zero and is redrawn.
+def test_explore_redraws_zero_directions_after_the_batch_in_row_order():
+    # No tumble leaves the box. Members 5 and 2 draw zero directions in
+    # the second round; each is redrawn after that round's batch, member 2
+    # first, and nothing touches the repair stream.
     cfg = AbcoConfig(size=8, step_size=0.5, explore_steps=1, tumble_steps=2)
-    zero_row = RngStream(5).standard_normal((11, 2))[10]
-    streams = []
+    draws = RngStream(5).standard_normal((16, 2))
+    rng = ZeroDirectionStream(5, draws[[13, 10]])
+    population = [member_at(0.2 * i - 0.7, 0.1 * i, 0.0) for i in range(cfg.size)]
+    positions = np.array([member.position for member in population])
+    state = fresh_state(population)
+    explore_stage(state, cfg, sphere, SPACE, rng)
 
-    def explore():
-        rng = ZeroDirectionStream(5, zero_row)
-        streams.append(rng)
-        population = [member_at(0.2 * i - 0.7, 0.1 * i, 0.0) for i in range(cfg.size)]
-        state = fresh_state(population)
-        explore_stage(state, cfg, sphere, SPACE, rng)
-        return snapshot(state, rng)
-
-    batched, reference = batched_and_reference(monkeypatch, explore)
-    assert all(rng.zeroed > 0 for rng in streams)
-    assert batched == reference
+    reference = RngStream(5)
+    for zero_rows in ([], [2, 5]):
+        directions = reference.standard_normal((cfg.size, 2))
+        directions[zero_rows] = 0.0
+        for row in zero_rows:
+            directions[row] = reference.standard_normal(2)
+        positions = np.array([
+            position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
+            for position, direction in zip(positions, directions)])
+    assert rng.zeroed == 2
+    assert np.array_equal([m.position for m in state.population], positions)
+    assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+    assert rng.repairs.bit_generator.state == RngStream(5).repairs.bit_generator.state
 
 
 # --- exploit ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from swarmopt.core import (
     repair_bounds,
 )
 from swarmopt.benchmarks import ObjectiveSpec
+from test_core import repaired_row_major
 
 
 def objective_from(evaluator, space, mode=OptimizationMode.MIN):
@@ -241,8 +242,9 @@ def test_acor_improves_on_sphere():
 
 
 def per_ant_acor(objective, cfg, rng):
-    """run_acor's loop one ant at a time: a searchsorted guide, a per-guide
-    np.sum of archive distances, and repair_bounds on every sample."""
+    """run_acor's loop one ant at a time: the iteration's guide uniforms
+    first, then per ant a searchsorted guide, a per-guide np.sum of archive
+    distances, its normals and repair_bounds on every sample."""
     space, n = objective.space, cfg.size
     evaluate, sign = minimised(objective)
     positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
@@ -255,8 +257,9 @@ def per_ant_acor(objective, cfg, rng):
     for _ in range(cfg.iterations):
         sample_positions = np.empty((cfg.resolved_sample_count, space.dim))
         sample_values = np.empty(cfg.resolved_sample_count)
+        uniforms = rng.uniform(size=cfg.resolved_sample_count)
         for ant in range(cfg.resolved_sample_count):
-            guide = min(int(np.searchsorted(cumulative, rng.uniform(), side="right")), n - 1)
+            guide = min(int(np.searchsorted(cumulative, uniforms[ant], side="right")), n - 1)
             deviations = (cfg.deviation_ratio
                           * np.sum(np.abs(positions - positions[guide]), axis=0) / (n - 1))
             drawn = positions[guide] + deviations * rng.standard_normal(space.dim)
@@ -311,18 +314,59 @@ def test_acor_matches_its_per_ant_reference(monkeypatch):
             if runner is run_acor:
                 result = (result.best_value, result.best_position, result.evaluations,
                           result.diagnostics["best_history"])
-            runs.append((seen, result, rng.generator.bit_generator.state))
-        (seen, result, state), (ref_seen, ref_result, ref_state) = runs
+            runs.append((seen, result, rng.generator.bit_generator.state,
+                         rng.repairs.bit_generator.state))
+        (seen, result, *states), (ref_seen, ref_result, *ref_states) = runs
         assert seen == ref_seen, case
         best, position, evaluations, history = result
         ref_best, ref_position, ref_evaluations, ref_history = ref_result
         assert np.array_equal([best, *history], [ref_best, *ref_history], equal_nan=True)
         assert np.array_equal(position, ref_position, equal_nan=True)
         assert evaluations == ref_evaluations == len(seen)
-        assert state == ref_state, case
+        assert states == ref_states, case
         samples += evaluations - cfg.size
     # both paths run: samples inside the box skip repair, the rest take it
     assert samples // 3 < len(repairs) < samples - samples // 3
+
+
+def test_acor_iteration_repairs_row_major_on_the_repair_stream():
+    # Centred on an edge with wide deviations, many samples leave the box.
+    repaired_rows = 0
+    for case in range(40):
+        draw = np.random.default_rng(9_300 + case)
+        dim = int(draw.integers(1, 7))
+        space = SearchSpace(dim, -2.0, 3.0)
+        cfg = AcorConfig(size=int(draw.integers(2, 60)), iterations=1,
+                         sample_count=int(draw.integers(1, 30)),
+                         deviation_ratio=float(draw.uniform(1.0, 4.0)))
+        n = cfg.size
+        seen = []
+
+        def edge(p, seen=seen):
+            seen.append(p.copy())
+            return float((p - space.upper) @ (p - space.upper))
+
+        rng = RngStream(case)
+        run_acor(objective_from(edge, space), cfg, rng)
+
+        reference = RngStream(case)
+        width = space.upper - space.lower
+        positions = space.lower + width * reference.generator.random((n, dim))
+        order = np.argsort([edge(p, []) for p in positions], kind="stable")
+        positions = positions[order]
+        cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
+        guides = np.minimum(np.searchsorted(
+            cumulative, reference.generator.random(cfg.sample_count), side="right"), n - 1)
+        deviations = [cfg.deviation_ratio * np.sum(np.abs(positions - positions[g]), axis=0)
+                      / (n - 1) for g in guides]
+        samples = positions[guides] + deviations * reference.generator.standard_normal(
+            (cfg.sample_count, dim))
+        expected = repaired_row_major(samples, space, reference.repairs)
+        assert np.array_equal(seen[n:], expected), case
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+        assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
+        repaired_rows += int((expected != samples).any(axis=1).sum())
+    assert repaired_rows > 200
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

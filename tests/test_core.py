@@ -211,10 +211,35 @@ def test_repair_bounds_catches_nan():
 
 def test_repair_bounds_draws_in_ascending_coordinate_order():
     space = SearchSpace(4, -1.0, 1.0)
-    repaired = repair_bounds(np.array([float("nan"), 0.5, 3.0, -1.5]), space, RngStream(21))
+    rng = RngStream(21)
+    repaired = repair_bounds(np.array([float("nan"), 0.5, 3.0, -1.5]), space, rng)
     reference = RngStream(21)
-    first, second, third = (reference.uniform(-1.0, 1.0) for _ in range(3))
+    first, second, third = (reference.repairs.uniform(-1.0, 1.0) for _ in range(3))
     assert repaired.tolist() == [first, 0.5, second, third]
+    assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
+    assert rng.generator.bit_generator.state == RngStream(21).generator.bit_generator.state
+
+
+def repaired_row_major(rows, space, repairs):
+    """`rows` with each out-of-box coordinate replaced by the next uniform
+    from the generator `repairs`: row by row, ascending within a row."""
+    repaired = np.array(rows, dtype=float)
+    for row in repaired:
+        for i, value in enumerate(row.tolist()):
+            if not space.lower <= value <= space.upper:
+                row[i] = repairs.uniform(space.lower, space.upper)
+    return repaired
+
+
+def test_repair_stream_is_a_pure_function_of_the_seed():
+    for seed in (0, 1, 21, 2**64 - 2):
+        draws = RngStream(seed).repairs.random(8)
+        assert np.array_equal(draws, RngStream(seed).repairs.random(8))
+        assert not np.array_equal(draws, RngStream(seed).generator.random(8))
+        assert not np.array_equal(draws, RngStream(seed + 1).repairs.random(8))
+        # The search stream is PCG64 on the seed itself.
+        assert np.array_equal(RngStream(seed).generator.random(8),
+                              np.random.Generator(np.random.PCG64(seed)).random(8))
 
 
 def test_repair_bounds_shape_check():

@@ -17,7 +17,7 @@ from swarmopt.benchmarks import list_functions, spec_of
 from swarmopt.core import RngStream, SearchSpace, derive_seed
 from test_golden import _fold, _recording
 
-GOLDEN_ACOR_DIGEST = "26ddaaaca23d617cc7520d7d949b07ea0853c73d49aaa2e2a8e15ba45514fb04"
+GOLDEN_ACOR_DIGEST = "115c8845d6adea6c0c104bbd17b6fb1f6c10b735a998d88de3364729ba515289"
 
 POPULATION = 100
 ITERATIONS = 20

@@ -18,7 +18,7 @@ from swarmopt.core import RngStream, SearchSpace, derive_seed
 from swarmopt.harness import ABCO_KEYS, abco_preset
 from test_golden import _fold, _recording
 
-GOLDEN_HIGH_DIM_DIGEST = "22bd7f00e5bf329eba8021a813ae42f70cb9a51b8402a9dcbf9d51fbf12a4014"
+GOLDEN_HIGH_DIM_DIGEST = "5438d706463c31b41d7fbac3b34692cf2e41f2f3eb3c58409298aa1703e665bf"
 
 DIM = 6
 FUNCTIONS = ("sphere", "rastrigin", "rosenbrock")

@@ -16,7 +16,7 @@ from swarmopt.core import RngStream, derive_seed
 from swarmopt.harness import ABCO_KEYS, abco_preset
 from test_golden import _fold, _recording
 
-GOLDEN_POPULATION_DIGEST = "2caf9d6e1dca9a3f84c06fc10914ca6aecca3b3b28c38a1281924b8851e27e6c"
+GOLDEN_POPULATION_DIGEST = "13d5fa384f2241198e6fd95b4d4bbf3ae9af4f073a3c719a70fea5e64537a058"
 
 POPULATION = 100
 ITERATIONS = 10

@@ -23,9 +23,9 @@ from swarmopt.harness import (
 )
 
 GOLDEN_RECORDS_DIGESTS = {
-    "experiment1": "1807b6c744e7efef56e7dac9551159ccd50358d768c2bea61e280749d3dc8c06",
-    "experiment2": "e8685e6e860ea885384f5ce9b25820ed619f5d4ba734820ab409cd13015d0632",
-    "experiment3": "e717c49a1167394ddfb598e35b1b9ea616089f765322021c778166b37d48831b",
+    "experiment1": "443cffe5cf98e05f0867d00726f55359d56d5641753fa0e507f9690e14a4f86f",
+    "experiment2": "9f9d3128be026c99286b665612a6016ea88b6b48e40b52bd5f722268d6c6901a",
+    "experiment3": "7d81e2b7c3c15957c515c3078ceec730ab39e96ffc847c68318e803dab911e63",
 }
 
 

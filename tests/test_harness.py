@@ -554,6 +554,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         ]) == 1
         assert f"error: run: --runs must be >= 1, got {runs}" in capsys.readouterr().err
         assert not out.exists()
+    for flag in ("--iters", "--pop-size"):
+        assert cli_main([
+            "run", "--algorithm", "pso", "--function", "booth",
+            flag, "0", "--out", str(out),
+        ]) == 1
+        assert f"error: run: {flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_run_writes_records(tmp_path, capsys):
