@@ -1,7 +1,6 @@
 """Swarm optimizers (bacterial colony, PSO, continuous ACO) with a benchmark harness."""
 
 from .core import (
-    Bacterium,
     ConfigurationError,
     EmptyNeighbourhoodError,
     OptimizationMode,
@@ -18,6 +17,7 @@ from .core import (
 from .benchmarks import ObjectiveSpec, evaluate, list_functions, spec_of
 from .abco import (
     AbcoConfig,
+    Colony,
     RunState,
     early_stop_check,
     explore_stage,

@@ -1,9 +1,12 @@
 """Bacterial colony optimizer: explore, exploit and reproduce stages.
 
-The stages minimise: run_abco hands them the evaluator from
-core.minimised, so a max-mode objective reaches them negated. Each
-iteration runs the three stages in order, refreshes the global best from
-the population's personal bests, then checks the stagnation checkpoint.
+The colony is one Colony of arrays, a row per member: positions, values,
+personal bests and the checkpoint snapshot. Every stage reads and writes
+those arrays directly. The stages minimise: run_abco hands them the
+evaluator from core.minimised, so a max-mode objective reaches them
+negated. Each iteration runs the three stages in order, refreshes the
+global best from the colony's personal bests, then checks the stagnation
+checkpoint.
 Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Bacterium,
     OptimizerResult,
     RngStream,
     SearchSpace,
@@ -47,6 +49,7 @@ from .core import (
 
 __all__ = [
     "AbcoConfig",
+    "Colony",
     "RunState",
     "tumble_step",
     "explore_stage",
@@ -108,15 +111,46 @@ class AbcoConfig:
 
 
 @dataclass
+class Colony:
+    """The population as arrays, one row per member.
+
+    positions and values are where each member is and what it scored;
+    best_positions and best_values its personal best. snapshot holds the
+    personal best values at the last stagnation checkpoint: it only changes
+    at checkpoints or when a member is born.
+    """
+
+    positions: np.ndarray
+    values: np.ndarray
+    best_positions: np.ndarray
+    best_values: np.ndarray
+    snapshot: np.ndarray
+
+    @classmethod
+    def fresh(cls, positions: np.ndarray, values: np.ndarray) -> Colony:
+        """Members born at `positions`, their memory starting there."""
+        return cls(positions, values, positions.copy(), values.copy(), values.copy())
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def take(self, rows) -> Colony:
+        """A copy holding the members at `rows`, in that order."""
+        return Colony(*(array[rows] for array in vars(self).values()))
+
+    def concat(self, other: Colony) -> Colony:
+        """A copy holding this colony's members, then other's."""
+        return Colony(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
+
+
+@dataclass
 class RunState:
     """Mutable state of one run between stages."""
 
-    population: list[Bacterium]
+    population: Colony
     iteration: int
     global_best_value: float
     global_best_position: np.ndarray
-    early_stopped: bool = False
-    iterations_executed: int = 0
     evaluations: int = 0
     diagnostics: dict = field(default_factory=dict)
 
@@ -129,9 +163,9 @@ def _tally(diagnostics: dict, **counts: int):
 
 
 def tumble_step(
-    bacterium: Bacterium, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
+    position: np.ndarray, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
 ) -> np.ndarray:
-    """New position after one tumble: a step_size hop in a random direction.
+    """Where `position` lands after one tumble: a step_size hop in a random direction.
 
     The direction comes from normalised standard normals, redrawn in the
     (measure-zero) case of an all-zero draw, so it is isotropic in any
@@ -141,18 +175,17 @@ def tumble_step(
     while norm == 0.0:
         direction = rng.standard_normal(space.dim)
         norm = math.sqrt(direction @ direction)
-    moved = bacterium.position + (cfg.step_size / norm) * direction
+    moved = position + (cfg.step_size / norm) * direction
     return repair_bounds(moved, space, rng)
 
 
-def _tumble_round(population, cfg: AbcoConfig, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Every member's tumble for one round, as matrix rows.
+def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream) -> np.ndarray:
+    """Where every row of `positions` lands after one tumble round.
 
     One batch of directions; an all-zero row is redrawn after the batch,
     in row order. Rows that leave the box then go through repair_bounds in
     row order. Per row the arithmetic is tumble_step's.
     """
-    positions = np.array([member.position for member in population])
     size, dim = positions.shape
     directions = rng.standard_normal((size, dim))
     # Stacked matmul gives the same squared norm as direction @ direction.
@@ -162,8 +195,7 @@ def _tumble_round(population, cfg: AbcoConfig, space: SearchSpace, rng: RngStrea
             directions[row] = rng.standard_normal(dim)
             squared[row] = directions[row] @ directions[row]
     moved = positions + (cfg.step_size / np.sqrt(squared))[:, None] * directions
-    inside = ((moved >= space.lower) & (moved <= space.upper)).all(axis=1)
-    for row in np.flatnonzero(~inside):
+    for row in np.flatnonzero(~space.contains(moved)):
         moved[row] = repair_bounds(moved[row], space, rng)
     return moved
 
@@ -195,32 +227,29 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     the round started. Gains are differences of quality keys, so a
     non-finite personal best gains from any finite value.
     """
-    threshold = cfg.improvement_threshold
-    population = state.population
-    best_keys = quality_key(np.array([m.best_solution for m in population])).tolist()
+    colony = state.population
+    best_keys = quality_key(colony.best_values)
     directed = rolled_back = 0
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
-            rows = _tumble_round(population, cfg, space, rng)
-            values = [float(objective(moved)) for moved in rows]
+            moved = _tumble_round(colony.positions, cfg, space, rng)
+            values = np.array([float(objective(row)) for row in moved])
             state.evaluations += len(values)
-            keys = quality_key(np.array(values)).tolist()
-            for index, (member, moved, value) in enumerate(zip(population, rows, values)):
-                if not math.isfinite(value):
-                    rolled_back += 1
-                    continue
-                member.position = moved
-                member.solution = value
-                gain = best_keys[index] - keys[index]
-                if gain > 0.0:
-                    member.best_solution = value
-                    member.best_position = moved.copy()
-                    best_keys[index] = keys[index]
-                if gain > threshold:
-                    # The crossing is counted but moves nothing: it fires only
-                    # when the personal best has just moved to the current
-                    # position, so a directed step there would stay put.
-                    directed += 1
+            # Only finite rows move, and a finite value is its own key. They
+            # are taken before subtracting: inf - inf would warn.
+            rows = np.flatnonzero(np.isfinite(values))
+            rolled_back += len(values) - len(rows)
+            gain = best_keys[rows] - values[rows]
+            improved = rows[gain > 0.0]
+            # The crossing is counted but moves nothing: it fires only when
+            # the personal best has just moved to the current position, so
+            # a directed step there would stay put.
+            directed += int(np.count_nonzero(gain > cfg.improvement_threshold))
+            colony.positions[rows] = moved[rows]
+            colony.values[rows] = values[rows]
+            colony.best_positions[improved] = moved[improved]
+            colony.best_values[improved] = values[improved]
+            best_keys[improved] = values[improved]
     _tally(state.diagnostics, rolled_back_moves=rolled_back, directed_steps=directed)
     return state
 
@@ -236,19 +265,20 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     the box only by rounding, so only a step with a coordinate outside the
     box goes through repair_bounds, which would draw nothing for the rest.
     """
-    population = state.population
-    if len(population) < 2:
+    colony = state.population
+    size = len(colony)
+    if size < 2:
         logger.warning("exploit stage skipped: population of one has no neighbours")
         _tally(state.diagnostics, exploit_skipped=1)
         return state
-    k = min(cfg.neighbor_count, len(population) - 1)
+    k = min(cfg.neighbor_count, size - 1)
     step_size = cfg.step_size
     lower, upper = space.lower, space.upper
-    positions = np.array([member.position for member in population])
-    best_keys = quality_key(np.array([m.best_solution for m in population])).tolist()
+    positions, best_positions = colony.positions, colony.best_positions
+    best_keys = quality_key(colony.best_values).tolist()
     moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
-        for index, member in enumerate(population):
+        for index in range(size):
             target_index = None
             target_key = best_keys[index]
             for neighbour_index, _ in k_nearest(positions, index, k):
@@ -257,7 +287,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                     target_key = best_keys[neighbour_index]
             if target_index is None:
                 continue
-            moved = move_toward(member.position, population[target_index].best_position, step_size)
+            moved = move_toward(positions[index], best_positions[target_index], step_size)
             if not all(lower <= x <= upper for x in moved.tolist()):
                 moved = repair_bounds(moved, space, rng)
             value = float(objective(moved))
@@ -265,15 +295,14 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
             if not math.isfinite(value):
                 rolled_back += 1
                 continue
-            member.position = moved
             positions[index] = moved
-            member.solution = value
+            colony.values[index] = value
             moves += 1
-            key = quality_key(value)
-            if key < best_keys[index]:
-                member.best_solution = value
-                member.best_position = moved.copy()
-                best_keys[index] = key
+            # A finite value is its own quality key.
+            if value < best_keys[index]:
+                best_positions[index] = moved
+                colony.best_values[index] = value
+                best_keys[index] = value
     _tally(state.diagnostics, exploit_moves=moves, rolled_back_moves=rolled_back)
     return state
 
@@ -281,25 +310,22 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
 def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Keep the best slice of the population and regenerate the rest.
 
-    Survivors are the survivor_fraction with the lowest current solutions
-    (stable, so ties keep their original order). Each replacement takes a
-    guide from the survivors round-robin and places itself at the
-    linear-rank-weighted average of the k survivors closest to the guide
-    in that ranking (ties toward the better side), best of the chosen
-    weighted heaviest; with a single survivor the replacements reseed
-    uniformly instead. Replacements start their personal-best memory from
-    their own birth position.
+    Survivors are the survivor_fraction with the lowest current values
+    (stable, so ties keep their original order), moved to the front in
+    rank order. Each replacement takes a guide from the survivors
+    round-robin and places itself at the linear-rank-weighted average of
+    the k survivors closest to the guide in that ranking (ties toward the
+    better side), best of the chosen weighted heaviest; with a single
+    survivor the replacements reseed uniformly instead. Replacements start
+    their personal-best memory from their own birth position.
     """
-    ranked = sorted(state.population, key=lambda member: quality_key(member.solution))
-    survivors = ranked[: cfg.survivor_count]
+    ranked = np.argsort(quality_key(state.population.values), kind="stable")
+    survivors = state.population.take(ranked[: cfg.survivor_count])
     retained = len(survivors)
     needed = cfg.size - retained
-
-    replacements: list[Bacterium] = []
     if needed > 0:
         if retained == 1:
-            replacements = seed_population(space, needed, objective, rng)
-            state.evaluations += needed
+            positions, values = seed_population(space, needed, objective, rng)
         else:
             neighbour_count = min(cfg.neighbor_count, retained - 1)
             weight_total = neighbour_count * (neighbour_count + 1) / 2.0
@@ -307,32 +333,22 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
             # The neighbour_count ranks nearest each guide, ties toward the
             # better side: a window of neighbour_count + 1 consecutive ranks
             # holding the guide, shifted to fit inside the survivors, with
-            # the guide taken out. ranked[] is best-first, so each row of
-            # chosen is in ascending solution rank.
+            # the guide taken out. Survivors are best-first, so each row of
+            # chosen is in ascending value rank.
             starts = np.minimum(np.maximum(guides - (neighbour_count + 1) // 2, 0),
                                 retained - 1 - neighbour_count)
             window = starts[:, None] + np.arange(neighbour_count + 1)
             chosen = window[window != guides[:, None]].reshape(needed, neighbour_count)
             # One weighted rank at a time over all rows: per element the
             # same additions in the same order as a per-row sum.
-            survivor_positions = np.array([member.position for member in survivors])
             positions = np.zeros((needed, space.dim))
             for rank in range(1, neighbour_count + 1):
                 weight = (neighbour_count - rank + 1) / weight_total
-                positions += weight * survivor_positions[chosen[:, rank - 1]]
-            for position in positions:
-                value = float(objective(position))
-                state.evaluations += 1
-                replacements.append(
-                    Bacterium(
-                        position=position,
-                        solution=value,
-                        best_position=position.copy(),
-                        best_solution=value,
-                        previous_best_solution=value,
-                    )
-                )
-    state.population = survivors + replacements
+                positions += weight * survivors.positions[chosen[:, rank - 1]]
+            values = np.array([float(objective(row)) for row in positions])
+        state.evaluations += needed
+        survivors = survivors.concat(Colony.fresh(positions, values))
+    state.population = survivors
     return state
 
 
@@ -348,26 +364,23 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
     period = cfg.checkpoint_period
     if state.iteration % period != 0 or state.iteration >= cfg.iterations:
         return False
-    population = state.population
-    unchanged = sum(
-        1 for member in population if member.best_solution == member.previous_best_solution
-    )
-    percent = unchanged / len(population) * 100.0
+    colony = state.population
+    unchanged = int(np.count_nonzero(colony.best_values == colony.snapshot))
+    percent = unchanged / len(colony) * 100.0
     state.diagnostics.setdefault("checkpoints", []).append((state.iteration, percent))
     if percent > cfg.unchanged_threshold:
         return True
-    for member in population:
-        member.previous_best_solution = member.best_solution
+    colony.snapshot = colony.best_values.copy()
     return False
 
 
 def _refresh_global_best(state: RunState):
-    keys = quality_key(np.array([m.best_solution for m in state.population]))
+    colony = state.population
+    keys = quality_key(colony.best_values)
     best = int(keys.argmin())
     if keys[best] < quality_key(state.global_best_value):
-        champion = state.population[best]
-        state.global_best_value = champion.best_solution
-        state.global_best_position = champion.best_position.copy()
+        state.global_best_value = float(colony.best_values[best])
+        state.global_best_position = colony.best_positions[best].copy()
 
 
 def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
@@ -383,17 +396,18 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     space = objective.space
     evaluator, sign = minimised(objective)
 
-    population = seed_population(space, cfg.size, evaluator, rng)
-    champion = min(population, key=lambda member: quality_key(member.best_solution))
+    positions, values = seed_population(space, cfg.size, evaluator, rng)
+    champion = int(quality_key(values).argmin())
     state = RunState(
-        population=population,
+        population=Colony.fresh(positions, values),
         iteration=0,
-        global_best_value=champion.best_solution,
-        global_best_position=champion.best_position.copy(),
+        global_best_value=float(values[champion]),
+        global_best_position=positions[champion].copy(),
         evaluations=cfg.size,
         diagnostics={"best_history": []},
     )
 
+    early_stopped = False
     for iteration in range(1, cfg.iterations + 1):
         state.iteration = iteration
         explore_stage(state, cfg, evaluator, space, rng)
@@ -404,17 +418,16 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
         reproduce_stage(state, cfg, evaluator, space, rng)
         _refresh_global_best(state)
         state.diagnostics["best_history"].append(sign * state.global_best_value)
-        state.iterations_executed = iteration
         if early_stop_check(state, cfg):
-            state.early_stopped = True
+            early_stopped = True
             break
 
     return OptimizerResult(
         best_value=sign * state.global_best_value,
         best_position=state.global_best_position.copy(),
-        iterations_executed=state.iterations_executed,
+        iterations_executed=state.iteration,
         evaluations=state.evaluations,
-        early_stopped=state.early_stopped,
+        early_stopped=early_stopped,
         runtime_seconds=time.perf_counter() - started,
         diagnostics=state.diagnostics,
     )

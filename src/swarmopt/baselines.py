@@ -38,6 +38,7 @@ from .core import (
     positive,
     quality_key,
     repair_bounds,
+    seed_population,
 )
 
 __all__ = [
@@ -115,10 +116,7 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
     space = objective.space
     evaluate, sign = minimised(objective)
 
-    positions = space.lower + (space.upper - space.lower) * rng.uniform(
-        size=(cfg.size, space.dim)
-    )
-    values = np.array([float(evaluate(p)) for p in positions])
+    positions, values = seed_population(space, cfg.size, evaluate, rng)
     velocities = np.zeros_like(positions)
     evaluations = cfg.size
 
@@ -215,8 +213,7 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     evaluate, sign = minimised(objective)
     n = cfg.size
 
-    positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
-    values = np.array([float(evaluate(p)) for p in positions])
+    positions, values = seed_population(space, n, evaluate, rng)
     evaluations = n
     order = np.argsort(quality_key(values), kind="stable")
     positions, values = positions[order], values[order]
@@ -231,8 +228,7 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
         guides = np.minimum(np.searchsorted(cumulative, picks, side="right"), n - 1)
         samples = positions[guides] + deviations[guides] * rng.generator.standard_normal(
             (sample_count, space.dim))
-        inside = ((samples >= space.lower) & (samples <= space.upper)).all(axis=1)
-        for ant in np.flatnonzero(~inside):
+        for ant in np.flatnonzero(~space.contains(samples)):
             samples[ant] = repair_bounds(samples[ant], space, rng)
         sample_values = np.array([float(evaluate(p)) for p in samples])
         evaluations += sample_count

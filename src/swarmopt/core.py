@@ -1,11 +1,13 @@
-"""Shared primitives: search space, population types, seeded randomness.
+"""Shared primitives: search space, population seeding, seeded randomness.
 
 Everything stochastic in this package draws from an explicitly seeded
 RngStream, never from global numpy state, so any run can be replayed bit
 for bit. Search draws and bounds repairs come from two independent
 generators, each consumed in a documented fixed order (population seeding
 first, then the per-iteration stage order defined by each optimizer), which
-is what makes the experiment harness deterministic.
+is what makes the experiment harness deterministic. All three optimizers
+seed through seed_population, so every run starts from the same kind of
+(size, dim) uniform draw.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "EmptyNeighbourhoodError",
     "OptimizationMode",
     "SearchSpace",
-    "Bacterium",
     "RngStream",
     "OptimizerResult",
     "derive_seed",
@@ -164,26 +165,14 @@ class SearchSpace:
                 f"lower bound must be below upper bound, got [{self.lower}, {self.upper}]"
             )
 
-    def contains(self, position) -> bool:
-        """True when every coordinate lies inside the box."""
-        arr = np.asarray(position, dtype=float)
-        return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
+    def contains(self, points):
+        """Whether every coordinate lies inside the box, over the last axis.
 
-
-@dataclass
-class Bacterium:
-    """One population member with its personal-best memory.
-
-    previous_best_solution is the snapshot taken at the last stagnation
-    checkpoint; it only changes at checkpoints or when the member is
-    created.
-    """
-
-    position: np.ndarray
-    solution: float
-    best_position: np.ndarray
-    best_solution: float
-    previous_best_solution: float
+        A point of shape (dim,) gives one bool; a (size, dim) matrix gives
+        one per row. A nan coordinate is outside.
+        """
+        arr = np.asarray(points, dtype=float)
+        return ((arr >= self.lower) & (arr <= self.upper)).all(axis=-1)
 
 
 def derive_seed(base_seed: int, function_id: str, algorithm_id: str, run_index: int) -> int:
@@ -236,30 +225,19 @@ class OptimizerResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def seed_population(space: SearchSpace, size: int, objective, rng: RngStream) -> list[Bacterium]:
-    """Scatter `size` members uniformly over the space and evaluate them.
+def seed_population(
+    space: SearchSpace, size: int, objective, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter `size` points uniformly over the space and evaluate them.
 
-    Positions come from a single (size, dim) uniform draw, so the layout is
-    a pure function of the stream state. Personal bests start at the seeded
-    position.
+    Returns the (size, dim) positions and their (size,) values, evaluated
+    in row order. Positions come from a single (size, dim) uniform draw, so
+    the layout is a pure function of the stream state.
     """
     if size < 1:
         raise ConfigurationError(f"population size must be at least 1, got {size}")
     positions = rng.uniform(space.lower, space.upper, size=(size, space.dim))
-    population = []
-    for row in positions:
-        position = row.copy()
-        value = float(objective(position))
-        population.append(
-            Bacterium(
-                position=position,
-                solution=value,
-                best_position=position.copy(),
-                best_solution=value,
-                previous_best_solution=value,
-            )
-        )
-    return population
+    return positions, np.array([float(objective(row)) for row in positions])
 
 
 def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]:

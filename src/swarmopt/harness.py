@@ -244,7 +244,10 @@ def load_config(source) -> ExperimentConfig:
     path = Path(source)
     if path.is_file():
         location = path.name
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{location}: {exc}") from None
     elif str(source) in BUNDLED_EXPERIMENTS:
         location = f"{source}.json"
         raw = _load_preset(f"{source}.json")

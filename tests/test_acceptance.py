@@ -15,6 +15,7 @@ import pytest
 
 from swarmopt.abco import (
     AbcoConfig,
+    Colony,
     RunState,
     early_stop_check,
     exploit_stage,
@@ -25,7 +26,6 @@ from swarmopt.abco import (
 from swarmopt.baselines import AcorConfig, PsoConfig, run_acor, run_pso
 from swarmopt.benchmarks import ObjectiveSpec, evaluate, list_functions, spec_of
 from swarmopt.core import (
-    Bacterium,
     OptimizationMode,
     RngStream,
     SearchSpace,
@@ -111,13 +111,13 @@ def stage_case(case_seed: int):
 
 
 def fresh_state(space, evaluator, cfg, stream) -> RunState:
-    population = seed_population(space, cfg.size, evaluator, stream)
-    champion = min(population, key=lambda m: quality_key(m.best_solution))
+    positions, values = seed_population(space, cfg.size, evaluator, stream)
+    champion = int(quality_key(values).argmin())
     return RunState(
-        population=population,
+        population=Colony.fresh(positions, values),
         iteration=1,
-        global_best_value=champion.best_solution,
-        global_best_position=champion.best_position.copy(),
+        global_best_value=float(values[champion]),
+        global_best_position=positions[champion].copy(),
     )
 
 
@@ -133,15 +133,17 @@ def adhoc_objective(space, evaluator, mode) -> ObjectiveSpec:
     )
 
 
-def frozen_member(value: float, position) -> Bacterium:
-    point = np.asarray(position, dtype=float)
-    return Bacterium(
-        position=point.copy(),
-        solution=value,
-        best_position=point.copy(),
-        best_solution=value,
-        previous_best_solution=value,
-    )
+def frozen_colony(values) -> Colony:
+    """Members at the origin of the plane whose memory is their value."""
+    values = np.array(values, dtype=float)
+    return Colony.fresh(np.zeros((len(values), 2)), values)
+
+
+def member_rows(colony: Colony) -> list[bytes]:
+    """Each member's whole record (position, value, personal best and
+    snapshot) as bytes, so a member can be followed through a reorder."""
+    arrays = vars(colony).values()
+    return [b"".join(array[i].tobytes() for array in arrays) for i in range(len(colony))]
 
 
 # --- criterion 1: the registry hits its published minima ---------------------
@@ -269,9 +271,8 @@ def test_criterion_6_bounds_hold_after_every_stage():
         state = fresh_state(space, evaluator, cfg, stream)
         for stage in (explore_stage, exploit_stage, reproduce_stage):
             stage(state, cfg, evaluator, space, stream)
-            for member in state.population:
-                assert space.contains(member.position), stage.__name__
-                assert space.contains(member.best_position), stage.__name__
+            assert space.contains(state.population.positions).all(), stage.__name__
+            assert space.contains(state.population.best_positions).all(), stage.__name__
 
 
 def test_criterion_6_best_values_never_worsen():
@@ -281,16 +282,16 @@ def test_criterion_6_best_values_never_worsen():
         space, evaluator, cfg, stream = stage_case(6_200 + case)
         state = fresh_state(space, evaluator, cfg, stream)
         for stage in (explore_stage, exploit_stage):
-            before = [(id(m), m.best_solution) for m in state.population]
+            colony = state.population
+            before = colony.best_values.copy()
             stage(state, cfg, evaluator, space, stream)
-            for (identity, old), member in zip(before, state.population):
-                assert id(member) == identity
-                assert not quality_key(old) < quality_key(member.best_solution)
-        kept = {id(m): m.best_solution for m in state.population}
+            assert state.population is colony and len(colony) == len(before)
+            for old, new in zip(before.tolist(), colony.best_values.tolist()):
+                assert not quality_key(old) < quality_key(new)
+        kept = set(member_rows(state.population))
         reproduce_stage(state, cfg, evaluator, space, stream)
-        for member in state.population:
-            if id(member) in kept:
-                assert member.best_solution == kept[id(member)]
+        for row in member_rows(state.population)[: cfg.survivor_count]:
+            assert row in kept
 
     # run level: the reported trajectory is monotone and ends at the result
     for case in range(30):
@@ -310,33 +311,37 @@ def test_criterion_6_population_size_is_conserved_through_reproduction():
         state = fresh_state(space, evaluator, cfg, stream)
         explore_stage(state, cfg, evaluator, space, stream)
         reproduce_stage(state, cfg, evaluator, space, stream)
-        assert len(state.population) == cfg.size
-        for member in state.population[cfg.survivor_count:]:
-            # regenerated members start their memory from birth
-            assert member.best_solution == member.solution
-            assert member.previous_best_solution == member.solution
-            assert np.array_equal(member.best_position, member.position)
-            assert member.best_position is not member.position
+        colony = state.population
+        assert len(colony) == cfg.size
+        born = slice(cfg.survivor_count, None)
+        # regenerated members start their memory from birth
+        assert np.array_equal(colony.best_values[born], colony.values[born])
+        assert np.array_equal(colony.snapshot[born], colony.values[born])
+        assert np.array_equal(colony.best_positions[born], colony.positions[born])
+        assert not np.shares_memory(colony.best_positions, colony.positions)
 
 
 def test_criterion_6_survivors_equal_sort_oracle_prefix():
     for case in range(120):
         space, evaluator, cfg, stream = stage_case(6_400 + case)
         state = fresh_state(space, evaluator, cfg, stream)
+        colony = state.population
         if case % 3 == 0:
             # inject duplicated objective values to exercise tie stability
             tie_pool = (1.0, 2.0)
-            for index, member in enumerate(state.population):
-                member.solution = tie_pool[index % len(tie_pool)]
+            for index in range(len(colony)):
+                colony.values[index] = tie_pool[index % len(tie_pool)]
+        rows = member_rows(colony)
+        values = colony.values.tolist()
         expected = [
-            id(member)
-            for member in sorted(
-                state.population,
-                key=lambda m: quality_key(m.solution),
+            rows[index]
+            for index in sorted(
+                range(len(colony)),
+                key=lambda i: quality_key(values[i]),
             )[: cfg.survivor_count]
         ]
         reproduce_stage(state, cfg, evaluator, space, stream)
-        actual = [id(member) for member in state.population[: cfg.survivor_count]]
+        actual = member_rows(state.population)[: cfg.survivor_count]
         assert actual == expected
 
 
@@ -404,12 +409,9 @@ def test_criterion_6_early_stop_only_at_checkpoints_strictly_above_threshold():
         draw = np.random.default_rng(6_900 + case)
         size = int(draw.integers(1, 9))
         unchanged_count = int(draw.integers(0, size + 1))
-        population = []
-        for j in range(size):
-            member = frozen_member(float(j), np.zeros(2))
-            if j >= unchanged_count:
-                member.previous_best_solution = float(j) - 1.0
-            population.append(member)
+        population = frozen_colony(range(size))
+        for j in range(unchanged_count, size):
+            population.snapshot[j] = float(j) - 1.0
         percent = unchanged_count / size * 100.0
 
         iterations = int(draw.integers(10, 51))
@@ -429,17 +431,16 @@ def test_criterion_6_early_stop_only_at_checkpoints_strictly_above_threshold():
             global_best_value=0.0,
             global_best_position=np.zeros(2),
         )
-        snapshots = [m.previous_best_solution for m in population]
+        snapshots = population.snapshot.tolist()
         at_checkpoint = (iteration % cfg.checkpoint_period == 0
                          and iteration < iterations)
         expected = at_checkpoint and percent > cfg.unchanged_threshold
         assert early_stop_check(state, cfg) == expected
         if at_checkpoint and not expected:
             # surviving a checkpoint refreshes every snapshot
-            assert all(m.previous_best_solution == m.best_solution
-                       for m in population)
+            assert population.snapshot.tolist() == population.best_values.tolist()
         elif not at_checkpoint:
-            assert [m.previous_best_solution for m in population] == snapshots
+            assert population.snapshot.tolist() == snapshots
 
     # run level: a constant objective freezes every record immediately, so
     # the run must stop at the first checkpoint, and a threshold of 100 can
@@ -494,9 +495,8 @@ def test_criterion_8_stagnant_population_stops_at_iteration_50():
                      unchanged_threshold=80.0)
     assert cfg.checkpoint_period == 50
 
-    population = [frozen_member(1.0 + j, np.zeros(2)) for j in range(cfg.size)]
     state = RunState(
-        population=population,
+        population=frozen_colony(1.0 + np.arange(cfg.size)),
         iteration=0,
         global_best_value=1.0,
         global_best_position=np.zeros(2),

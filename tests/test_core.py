@@ -67,20 +67,20 @@ def test_search_space_contains():
     space = SearchSpace(2, -5.0, 5.0)
     assert space.contains((0.0, 5.0))
     assert not space.contains((0.0, 5.1))
+    rows = [(0.0, 5.0), (0.0, 5.1), (float("nan"), 0.0), (-5.0, -5.0)]
+    assert space.contains(rows).tolist() == [True, False, False, True]
 
 
 def test_seed_population_layout():
     space = SearchSpace(3, -2.0, 4.0)
-    population = seed_population(space, 12, lambda p: float(np.sum(p)), RngStream(5))
-    assert len(population) == 12
-    for member in population:
-        assert space.contains(member.position)
-        assert member.solution == pytest.approx(float(np.sum(member.position)))
-        assert member.best_solution == member.solution
-        assert member.previous_best_solution == member.solution
-        assert np.array_equal(member.best_position, member.position)
-        # memory must not alias the live position
-        assert member.best_position is not member.position
+    positions, values = seed_population(space, 12, lambda p: float(np.sum(p)), RngStream(5))
+    assert positions.shape == (12, 3) and values.shape == (12,)
+    assert space.contains(positions).all()
+    for position, value in zip(positions, values):
+        assert value == pytest.approx(float(np.sum(position)))
+    # one (size, dim) uniform draw, as PSO and ACO seeded before sharing it
+    reference = RngStream(5).generator
+    assert np.array_equal(positions, -2.0 + 6.0 * reference.uniform(size=(12, 3)))
 
 
 def test_seed_population_rejects_empty():

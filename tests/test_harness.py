@@ -247,6 +247,15 @@ def test_config_errors_use_config_spellings(tmp_path):
     assert "inertia" not in message
 
 
+def test_malformed_json_names_its_file(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"experiment_id": "x", }')
+    with pytest.raises(ConfigurationError, match=r"^broken\.json: Expecting property name"):
+        load_config(path)
+    assert cli_main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: broken.json: Expecting property name")
+
+
 def test_missing_base_seed_and_bad_source_are_rejected(tmp_path):
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps({"experiment_id": "x"}))
