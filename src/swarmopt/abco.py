@@ -17,8 +17,10 @@ per step as it is taken.
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
 Exploit queries k_nearest per member on one live position matrix and
-repairs only steps that leave the box. Reproduce builds its replacements
-in k matrix steps with the same per-element arithmetic as row by row.
+repairs only steps that leave the box, then evaluates the one move.
+Reproduce builds its replacements in k matrix steps with the same
+per-element arithmetic as row by row. Explore rounds and reproduce's
+replacements are each evaluated in one core.evaluate_rows call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core import (
     SearchSpace,
     at_least,
     check_fields,
+    evaluate_rows,
     k_nearest,
     minimised,
     non_negative,
@@ -233,7 +236,7 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
             moved = _tumble_round(colony.positions, cfg, space, rng)
-            values = np.array([float(objective(row)) for row in moved])
+            values = evaluate_rows(objective, moved)
             state.evaluations += len(values)
             # Only finite rows move, and a finite value is its own key. They
             # are taken before subtracting: inf - inf would warn.
@@ -345,7 +348,7 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
             for rank in range(1, neighbour_count + 1):
                 weight = (neighbour_count - rank + 1) / weight_total
                 positions += weight * survivors.positions[chosen[:, rank - 1]]
-            values = np.array([float(objective(row)) for row in positions])
+            values = evaluate_rows(objective, positions)
         state.evaluations += needed
         survivors = survivors.concat(Colony.fresh(positions, values))
     state.population = survivors
@@ -374,13 +377,16 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
     return False
 
 
-def _refresh_global_best(state: RunState):
+def _refresh_global_best(state: RunState) -> bool:
+    """Take the colony's best personal best if it beats the global one; say so."""
     colony = state.population
     keys = quality_key(colony.best_values)
     best = int(keys.argmin())
     if keys[best] < quality_key(state.global_best_value):
         state.global_best_value = float(colony.best_values[best])
         state.global_best_position = colony.best_positions[best].copy()
+        return True
+    return False
 
 
 def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
@@ -408,22 +414,25 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     )
 
     early_stopped = False
+    # The history repeats one float object until the best improves.
+    reported = sign * state.global_best_value
     for iteration in range(1, cfg.iterations + 1):
         state.iteration = iteration
         explore_stage(state, cfg, evaluator, space, rng)
         exploit_stage(state, cfg, evaluator, space, rng)
         # Reproduction culls by current value, which can drop the member
         # holding the best personal record, so record it first.
-        _refresh_global_best(state)
+        improved = _refresh_global_best(state)
         reproduce_stage(state, cfg, evaluator, space, rng)
-        _refresh_global_best(state)
-        state.diagnostics["best_history"].append(sign * state.global_best_value)
+        if _refresh_global_best(state) or improved:
+            reported = sign * state.global_best_value
+        state.diagnostics["best_history"].append(reported)
         if early_stop_check(state, cfg):
             early_stopped = True
             break
 
     return OptimizerResult(
-        best_value=sign * state.global_best_value,
+        best_value=reported,
         best_position=state.global_best_position.copy(),
         iterations_executed=state.iteration,
         evaluations=state.evaluations,

@@ -15,7 +15,8 @@ guide) array gives every guide's deviations. Summing its archive axis adds
 rows in order, as a per-guide np.sum(axis=0) does at dim >= 2; at dim 1,
 where numpy sums pairwise, the symmetric slice is summed over its
 contiguous last axis. Only samples outside the box go through repair, in
-ant order. Both minimise the evaluator from core.minimised and report the
+ant order. Both minimise the evaluator from core.minimised, evaluate each
+iteration's points in one core.evaluate_rows call, and report the
 objective's own values.
 """
 
@@ -33,6 +34,7 @@ from .core import (
     RngStream,
     at_least,
     check_fields,
+    evaluate_rows,
     minimised,
     param,
     positive,
@@ -125,7 +127,9 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
     champion = int(np.argmin(quality_key(best_values)))
     global_value = float(best_values[champion])
     global_position = best_positions[champion].copy()
-    history = [sign * global_value]
+    # The history repeats one float object until the best improves.
+    reported = sign * global_value
+    history = [reported]
 
     for t in range(cfg.iterations):
         w = inertia_weight(cfg, t)
@@ -141,7 +145,7 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
         positions = np.clip(positions, space.lower, space.upper)
         velocities[outside] = 0.0
 
-        values = np.array([float(evaluate(p)) for p in positions])
+        values = evaluate_rows(evaluate, positions)
         evaluations += cfg.size
         improved = quality_key(values) < quality_key(best_values)
         best_values = np.where(improved, values, best_values)
@@ -151,10 +155,11 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
         if quality_key(float(best_values[champion])) < quality_key(global_value):
             global_value = float(best_values[champion])
             global_position = best_positions[champion].copy()
-        history.append(sign * global_value)
+            reported = sign * global_value
+        history.append(reported)
 
     return OptimizerResult(
-        best_value=sign * global_value,
+        best_value=reported,
         best_position=global_position.copy(),
         iterations_executed=cfg.iterations,
         evaluations=evaluations,
@@ -220,7 +225,9 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
 
     cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
     sample_count = cfg.resolved_sample_count
-    history = [sign * float(values[0])]
+    best = float(values[0])
+    reported = sign * best
+    history = [reported]
 
     for _ in range(cfg.iterations):
         deviations = cfg.deviation_ratio * _deviation_sums(positions) / (n - 1)
@@ -230,13 +237,18 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
             (sample_count, space.dim))
         for ant in np.flatnonzero(~space.contains(samples)):
             samples[ant] = repair_bounds(samples[ant], space, rng)
-        sample_values = np.array([float(evaluate(p)) for p in samples])
+        sample_values = evaluate_rows(evaluate, samples)
         evaluations += sample_count
         positions, values = merge_archive(positions, values, samples, sample_values, n)
-        history.append(sign * float(values[0]))
+        # Ties keep the archive entry first, so the head changes only when
+        # a sample beats it.
+        if quality_key(values.item(0)) < quality_key(best):
+            best = values.item(0)
+            reported = sign * best
+        history.append(reported)
 
     return OptimizerResult(
-        best_value=sign * float(values[0]),
+        best_value=reported,
         best_position=positions[0].copy(),
         iterations_executed=cfg.iterations,
         evaluations=evaluations,

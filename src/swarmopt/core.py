@@ -7,7 +7,10 @@ generators, each consumed in a documented fixed order (population seeding
 first, then the per-iteration stage order defined by each optimizer), which
 is what makes the experiment harness deterministic. All three optimizers
 seed through seed_population, so every run starts from the same kind of
-(size, dim) uniform draw.
+(size, dim) uniform draw. Every batch of points they evaluate goes
+through evaluate_rows, which takes an evaluator's column form when it
+carries one; evaluation draws nothing, so either path leaves the streams
+alike.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "OptimizerResult",
     "derive_seed",
     "minimised",
+    "evaluate_rows",
     "quality_key",
     "seed_population",
     "k_nearest",
@@ -123,15 +127,35 @@ def minimised(objective):
     """The objective's evaluator as one to minimise, and the sign that undoes it.
 
     Every optimizer minimises internally. In max mode this hands back the
-    negated evaluator and sign -1.0; multiplying a minimised value by the
+    negated evaluator, with a negated `batch` if it has one (see
+    evaluate_rows), and sign -1.0; multiplying a minimised value by the
     sign gives back the value the objective returned. Negation is exact in
     IEEE arithmetic, so minimising -f orders every pair of values as
     maximising f does. A mode given as "min" or "max" is read as the enum.
     """
     evaluator = objective.evaluator
     if OptimizationMode(objective.mode) is OptimizationMode.MAX:
-        return (lambda point: -evaluator(point)), -1.0
+        def negated(point):
+            return -evaluator(point)
+
+        if hasattr(evaluator, "batch"):
+            negated.batch = lambda rows: -evaluate_rows(evaluator, rows)
+        return negated, -1.0
     return evaluator, 1.0
+
+
+def evaluate_rows(evaluator, rows) -> np.ndarray:
+    """The (m,) values of `evaluator` at the m rows of `rows`.
+
+    An evaluator may carry a column form as its `batch` attribute, taking
+    the (m, d) matrix and returning what m calls in row order would, bit
+    for bit; the registry's evaluators do. Without one, and so for any
+    wrapped evaluator, every row is one call, in row order.
+    """
+    batch = getattr(evaluator, "batch", None)
+    if batch is None:
+        return np.array([float(evaluator(row)) for row in rows])
+    return np.asarray(batch(rows), dtype=float)
 
 
 def quality_key(value):
@@ -237,7 +261,7 @@ def seed_population(
     if size < 1:
         raise ConfigurationError(f"population size must be at least 1, got {size}")
     positions = rng.uniform(space.lower, space.upper, size=(size, space.dim))
-    return positions, np.array([float(objective(row)) for row in positions])
+    return positions, evaluate_rows(objective, positions)
 
 
 def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]:

@@ -221,6 +221,8 @@ def _id_list(location: str, key: str, value, known, default) -> list[str]:
         return list(default)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigurationError(f"{location}: {key} must be a list of ids")
+    if not value:
+        raise ConfigurationError(f"{location}: {key} must name at least one id")
     for v in value:
         if v not in known:
             raise ConfigurationError(f"{location}: {key} contains unknown id {v!r}")

@@ -1,10 +1,19 @@
-"""Benchmark registry: domains, published optima, spot values."""
+"""Benchmark registry: domains, published optima, spot values, column forms."""
+
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swarmopt.benchmarks import evaluate, list_functions, spec_of
-from swarmopt.core import OptimizationMode, RngStream, UnknownFunctionError
+from swarmopt.core import (
+    OptimizationMode,
+    RngStream,
+    UnknownFunctionError,
+    evaluate_rows,
+    minimised,
+)
 
 EXPECTED_DOMAINS = {
     "ackley": (-5.0, 5.0),
@@ -76,5 +85,56 @@ def test_random_points_never_beat_minimum():
 def test_evaluators_reject_bad_shape():
     with pytest.raises(ValueError):
         evaluate("booth", (1.0, 2.0, 3.0))
-    # sphere is the one any-dimension evaluator
+    # rastrigin and sphere take any dimension, rosenbrock any from 2 up
     assert evaluate("sphere", (1.0, 2.0, 2.0)) == pytest.approx(9.0)
+    with pytest.raises(ValueError, match="rosenbrock takes 2 or more coordinates, got 1"):
+        evaluate("rosenbrock", (1.0,))
+
+
+COLUMN_CASES = (
+    [(name, 2) for name in list_functions()]
+    + [(name, dim) for name in ("rastrigin", "sphere") for dim in (1, 3, 4, 5, 6)]
+    + [("rosenbrock", dim) for dim in (3, 4, 5, 6)]
+)
+
+
+def probe_rows(name: str, dim: int, count: int = 20_000) -> np.ndarray:
+    """Uniform rows over the box widened by a quarter width on each side,
+    then the argmin, the origin and the corners of both boxes."""
+    space = spec_of(name).space
+    quarter = (space.upper - space.lower) / 4.0
+    wide = (space.lower - quarter, space.upper + quarter)
+    uniform = RngStream(dim * 1000 + len(name)).uniform(*wide, size=(count, dim))
+    special = [np.resize(spec_of(name).known_argmin, dim), np.zeros(dim)]
+    special += [corner for bounds in ((space.lower, space.upper), wide)
+                for corner in itertools.product(bounds, repeat=dim)]
+    return np.vstack([uniform, np.array(special, dtype=float)])
+
+
+@pytest.mark.parametrize("name,dim", COLUMN_CASES)
+def test_column_form_equals_scalar_form_bit_for_bit(name, dim):
+    rows = probe_rows(name, dim)
+    for mode in OptimizationMode:
+        evaluator, _ = minimised(replace(spec_of(name), mode=mode))
+        assert hasattr(evaluator, "batch")
+        columns = evaluate_rows(evaluator, rows)
+        scalars = np.array([evaluator(row) for row in rows])
+        assert columns.shape == (len(rows),)
+        differ = np.flatnonzero(columns.view(np.uint64) != scalars.view(np.uint64))
+        assert differ.size == 0, (mode, rows[differ[:3]], columns[differ[:3]],
+                                  scalars[differ[:3]])
+
+
+@pytest.mark.parametrize(
+    "name,shape,needle",
+    [
+        ("booth", (4, 3), "booth takes 2 coordinates, got 3"),
+        ("easom", (4, 1), "easom takes 2 coordinates, got 1"),
+        ("rastrigin", (4, 0), "rastrigin takes 1 or more coordinates, got 0"),
+        ("rosenbrock", (4, 1), "rosenbrock takes 2 or more coordinates, got 1"),
+        ("sphere", (4,), r"sphere takes an \(m, d\) batch, got shape \(4,\)"),
+    ],
+)
+def test_batch_shape_errors_name_the_function(name, shape, needle):
+    with pytest.raises(ValueError, match=needle):
+        spec_of(name).evaluator.batch(np.zeros(shape))

@@ -15,6 +15,7 @@ from swarmopt.core import (
     SearchSpace,
     derive_seed,
     error_rate,
+    evaluate_rows,
     k_nearest,
     minimised,
     quality_key,
@@ -81,6 +82,32 @@ def test_seed_population_layout():
     # one (size, dim) uniform draw, as PSO and ACO seeded before sharing it
     reference = RngStream(5).generator
     assert np.array_equal(positions, -2.0 + 6.0 * reference.uniform(size=(12, 3)))
+
+
+def test_evaluate_rows_reads_batch_and_falls_back_to_rows():
+    rows = np.arange(6.0).reshape(3, 2)
+    seen = []
+
+    def evaluator(point):
+        seen.append(point.tolist())
+        return point[0] - 3.0 * point[1]
+
+    # Without a batch form: one call per row, in row order.
+    assert evaluate_rows(evaluator, rows).tolist() == [-3.0, -7.0, -11.0]
+    assert seen == rows.tolist()
+    evaluator.batch = lambda matrix: np.full(len(matrix), 5)
+    values = evaluate_rows(evaluator, rows)
+    assert values.dtype == np.float64 and values.tolist() == [5.0, 5.0, 5.0]
+    assert len(seen) == 3
+    negated, _ = minimised(replace(spec_of("sphere"), evaluator=evaluator,
+                                   mode=OptimizationMode.MAX))
+    assert evaluate_rows(negated, rows).tolist() == [-5.0, -5.0, -5.0]
+    del evaluator.batch
+    negated, _ = minimised(replace(spec_of("sphere"), evaluator=evaluator,
+                                   mode=OptimizationMode.MAX))
+    assert not hasattr(negated, "batch")
+    assert evaluate_rows(negated, rows).tolist() == [3.0, 7.0, 11.0]
+    assert len(seen) == 6
 
 
 def test_seed_population_rejects_empty():

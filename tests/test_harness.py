@@ -205,6 +205,18 @@ def test_load_config_names_the_offending_key(tmp_path, mutation, needle):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["functions", "algorithms"])
+def test_load_config_rejects_an_empty_id_list(tmp_path, capsys, key):
+    path = tiny_config(tmp_path, **{key: []})
+    with pytest.raises(ConfigurationError) as err:
+        load_config(path)
+    assert str(err.value) == f"tiny.json: {key} must name at least one id"
+    out_dir = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    assert f"{key} must name at least one id" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "mutation,needle",
     [
