@@ -11,8 +11,8 @@ Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
 lone survivor forces fresh reseeding. Repairs draw from the stream's
-repair generator: after each explore round row by row, and in exploit
-per step as it is taken.
+repair generator: after each explore round in one repair_bounds call
+over all its rows, row by row, and in exploit per step as it is taken.
 
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
@@ -80,7 +80,6 @@ class AbcoConfig:
     explore_steps: explore passes per iteration.
     exploit_steps: exploit passes per iteration.
     tumble_steps: tumble rounds per explore pass.
-    improvement_threshold: minimum gain counted as a directed step.
     survivor_fraction: fraction of the population retained at reproduction.
     neighbor_count: neighbours considered for exploitation and regeneration.
     generation_gap: percent of the budget between stagnation checkpoints.
@@ -93,7 +92,6 @@ class AbcoConfig:
     explore_steps: int = param(4, key="N_explor", check=at_least(1), integer=True)
     exploit_steps: int = param(1, key="N_explt", check=non_negative, integer=True)
     tumble_steps: int = param(1, key="N_tum", check=at_least(1), integer=True)
-    improvement_threshold: float = param(0.05, key="e", check=non_negative)
     survivor_fraction: float = param(0.8, key="s", check=up_to(1))
     neighbor_count: int = param(2, key="k", check=at_least(1), integer=True)
     generation_gap: float = param(25.0, key="generation_gap", check=up_to(100))
@@ -186,8 +184,9 @@ def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
     """Where every row of `positions` lands after one tumble round.
 
     One batch of directions; an all-zero row is redrawn after the batch,
-    in row order. Rows that leave the box then go through repair_bounds in
-    row order. Per row the arithmetic is tumble_step's.
+    in row order. The round then goes through one repair_bounds call,
+    which draws what tumble_step's repair per row would. Per row the
+    arithmetic is tumble_step's.
     """
     size, dim = positions.shape
     directions = rng.standard_normal((size, dim))
@@ -198,9 +197,7 @@ def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
             directions[row] = rng.standard_normal(dim)
             squared[row] = directions[row] @ directions[row]
     moved = positions + (cfg.step_size / np.sqrt(squared))[:, None] * directions
-    for row in np.flatnonzero(~space.contains(moved)):
-        moved[row] = repair_bounds(moved[row], space, rng)
-    return moved
+    return repair_bounds(moved, space, rng)
 
 
 def move_toward(current, target, step_size: float) -> np.ndarray:
@@ -223,37 +220,29 @@ def move_toward(current, target, step_size: float) -> np.ndarray:
 def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Random-walk passes with personal-best tracking.
 
-    Per member per tumble round: tumble, evaluate, measure the gain against
-    the personal best before touching it, and record any strict gain as the
-    new personal best. A gain above improvement_threshold is counted as a
-    directed step. A non-finite evaluation rolls the member back to where
-    the round started. Gains are differences of quality keys, so a
-    non-finite personal best gains from any finite value.
+    Per member per tumble round: tumble, evaluate, and record a value
+    strictly below the personal best's quality key as the new personal
+    best, so a non-finite personal best yields to any finite value. A
+    non-finite evaluation rolls the member back to where the round started.
     """
     colony = state.population
     best_keys = quality_key(colony.best_values)
-    directed = rolled_back = 0
+    rolled_back = 0
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
             moved = _tumble_round(colony.positions, cfg, space, rng)
             values = evaluate_rows(objective, moved)
             state.evaluations += len(values)
-            # Only finite rows move, and a finite value is its own key. They
-            # are taken before subtracting: inf - inf would warn.
+            # Only finite rows move, and a finite value is its own key.
             rows = np.flatnonzero(np.isfinite(values))
             rolled_back += len(values) - len(rows)
-            gain = best_keys[rows] - values[rows]
-            improved = rows[gain > 0.0]
-            # The crossing is counted but moves nothing: it fires only when
-            # the personal best has just moved to the current position, so
-            # a directed step there would stay put.
-            directed += int(np.count_nonzero(gain > cfg.improvement_threshold))
+            improved = rows[values[rows] < best_keys[rows]]
             colony.positions[rows] = moved[rows]
             colony.values[rows] = values[rows]
             colony.best_positions[improved] = moved[improved]
             colony.best_values[improved] = values[improved]
             best_keys[improved] = values[improved]
-    _tally(state.diagnostics, rolled_back_moves=rolled_back, directed_steps=directed)
+    _tally(state.diagnostics, rolled_back_moves=rolled_back)
     return state
 
 

@@ -10,14 +10,15 @@ sharply on multimodal landscapes at small populations to match the
 reference behaviour this suite is checked against).
 ACO: the seeding batch, then per iteration one (sample_count,) uniform
 batch for the ants' guides and one (sample_count, dim) normal batch. The
-archive is fixed within an iteration, as in ACO_R, so one (archive, coord,
-guide) array gives every guide's deviations. Summing its archive axis adds
-rows in order, as a per-guide np.sum(axis=0) does at dim >= 2; at dim 1,
-where numpy sums pairwise, the symmetric slice is summed over its
-contiguous last axis. Only samples outside the box go through repair, in
-ant order. Both minimise the evaluator from core.minimised, evaluate each
-iteration's points in one core.evaluate_rows call, and report the
-objective's own values.
+archive is fixed within an iteration, as in ACO_R, and deviations are
+computed only for the guides the ants picked, from one (archive, coord,
+guide) array. Summing its archive axis adds rows in order, as a per-guide
+np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise,
+each guide's distances are summed over one contiguous row. The samples
+are repaired in one core.repair_bounds call, which redraws only the
+coordinates outside the box, in ant order. Both minimise the evaluator
+from core.minimised, evaluate each iteration's points in one
+core.evaluate_rows call, and report the objective's own values.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
     best_positions = positions.copy()
     best_values = values.copy()
-    champion = int(np.argmin(quality_key(best_values)))
-    global_value = float(best_values[champion])
+    best_keys = quality_key(best_values)
+    champion = int(best_keys.argmin())
+    global_key = best_keys.item(champion)
     global_position = best_positions[champion].copy()
     # The history repeats one float object until the best improves.
-    reported = sign * global_value
+    reported = sign * float(best_values[champion])
     history = [reported]
 
     for t in range(cfg.iterations):
@@ -147,15 +149,17 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
         values = evaluate_rows(evaluate, positions)
         evaluations += cfg.size
-        improved = quality_key(values) < quality_key(best_values)
+        keys = quality_key(values)
+        improved = keys < best_keys
         best_values = np.where(improved, values, best_values)
+        best_keys = np.where(improved, keys, best_keys)
         best_positions[improved] = positions[improved]
 
-        champion = int(np.argmin(quality_key(best_values)))
-        if quality_key(float(best_values[champion])) < quality_key(global_value):
-            global_value = float(best_values[champion])
+        champion = int(best_keys.argmin())
+        if best_keys.item(champion) < global_key:
+            global_key = best_keys.item(champion)
             global_position = best_positions[champion].copy()
-            reported = sign * global_value
+            reported = sign * float(best_values[champion])
         history.append(reported)
 
     return OptimizerResult(
@@ -196,12 +200,12 @@ def merge_archive(
     return all_positions[chosen], all_values[chosen]
 
 
-def _deviation_sums(positions: np.ndarray) -> np.ndarray:
-    """Row g is np.sum(np.abs(positions - positions[g]), axis=0), bit for bit."""
-    spread = np.abs(positions[:, :, None] - positions.T.copy()[None, :, :])
+def _deviation_sums(positions: np.ndarray, guides: np.ndarray) -> np.ndarray:
+    """Row i is np.sum(np.abs(positions - positions[guides[i]]), axis=0), bit for bit."""
     if positions.shape[1] == 1:
-        return spread[:, 0, :].sum(axis=1)[:, None]
-    return spread.sum(axis=0).T
+        column = positions[:, 0]
+        return np.abs(column[guides][:, None] - column[None, :]).sum(axis=1)[:, None]
+    return np.abs(positions[:, :, None] - positions[guides].T.copy()[None]).sum(axis=0).T
 
 
 def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
@@ -230,13 +234,11 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     history = [reported]
 
     for _ in range(cfg.iterations):
-        deviations = cfg.deviation_ratio * _deviation_sums(positions) / (n - 1)
         picks = rng.generator.random(sample_count)
         guides = np.minimum(np.searchsorted(cumulative, picks, side="right"), n - 1)
-        samples = positions[guides] + deviations[guides] * rng.generator.standard_normal(
-            (sample_count, space.dim))
-        for ant in np.flatnonzero(~space.contains(samples)):
-            samples[ant] = repair_bounds(samples[ant], space, rng)
+        deviations = cfg.deviation_ratio * _deviation_sums(positions, guides) / (n - 1)
+        normals = rng.generator.standard_normal((sample_count, space.dim))
+        samples = repair_bounds(positions[guides] + deviations * normals, space, rng)
         sample_values = evaluate_rows(evaluate, samples)
         evaluations += sample_count
         positions, values = merge_archive(positions, values, samples, sample_values, n)

@@ -10,7 +10,9 @@ seed through seed_population, so every run starts from the same kind of
 (size, dim) uniform draw. Every batch of points they evaluate goes
 through evaluate_rows, which takes an evaluator's column form when it
 carries one; evaluation draws nothing, so either path leaves the streams
-alike.
+alike. Every batch of points they repair goes through one repair_bounds
+call, which draws all of its resampled coordinates at once in the order
+one scalar draw per coordinate, row by row, would take them.
 """
 
 from __future__ import annotations
@@ -189,15 +191,6 @@ class SearchSpace:
                 f"lower bound must be below upper bound, got [{self.lower}, {self.upper}]"
             )
 
-    def contains(self, points):
-        """Whether every coordinate lies inside the box, over the last axis.
-
-        A point of shape (dim,) gives one bool; a (size, dim) matrix gives
-        one per row. A nan coordinate is outside.
-        """
-        arr = np.asarray(points, dtype=float)
-        return ((arr >= self.lower) & (arr <= self.upper)).all(axis=-1)
-
 
 def derive_seed(base_seed: int, function_id: str, algorithm_id: str, run_index: int) -> int:
     """Stable 64-bit child seed for one run of one algorithm on one function.
@@ -291,22 +284,23 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
     return [(index, distances.item(index)) for index in nearest]
 
 
-def repair_bounds(position, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Copy of `position` with every out-of-bounds coordinate resampled.
+def repair_bounds(points, space: SearchSpace, rng: RngStream) -> np.ndarray:
+    """Copy of `points` with every out-of-bounds coordinate resampled.
 
-    In-bounds coordinates pass through untouched; violating ones are
-    redrawn uniformly from [lower, upper] on the stream's `repairs`
-    generator, one at a time in ascending coordinate order.
+    `points` is one (dim,) point or an (m, dim) matrix. In-bounds
+    coordinates pass through untouched; violating ones, nan included, are
+    redrawn uniformly from [lower, upper] in one draw on the stream's
+    `repairs` generator, row by row and ascending within a row. A batch
+    draw gives what one scalar draw per coordinate in that order would.
     """
-    repaired = np.array(position, dtype=float)
-    if repaired.shape != (space.dim,):
-        raise ValueError(
-            f"position has shape {repaired.shape}, expected ({space.dim},)"
-        )
-    lower, upper = space.lower, space.upper
-    for i, value in enumerate(repaired.tolist()):
-        if not lower <= value <= upper:
-            repaired[i] = rng.repairs.uniform(lower, upper)
+    repaired = np.array(points, dtype=float)
+    if repaired.ndim not in (1, 2) or repaired.shape[-1] != space.dim:
+        raise ValueError(f"points have shape {repaired.shape}, "
+                         f"expected ({space.dim},) or (m, {space.dim})")
+    outside = ~((repaired >= space.lower) & (repaired <= space.upper))
+    count = int(np.count_nonzero(outside))
+    if count:
+        repaired[outside] = rng.repairs.uniform(space.lower, space.upper, count)
     return repaired
 
 

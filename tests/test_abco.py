@@ -33,7 +33,7 @@ from swarmopt.core import (
 )
 from swarmopt.harness import ABCO_KEYS, abco_preset
 from test_acceptance import member_rows, stage_case
-from test_core import repaired_row_major
+from test_core import counting_repairs, inside, repaired_row_major
 
 SPACE = SearchSpace(2, -5.0, 5.0)
 
@@ -81,7 +81,7 @@ def test_config_defaults_validate():
         (dict(explore_steps=0), "explore_steps"),
         (dict(exploit_steps=-1), "exploit_steps"),
         (dict(tumble_steps=0), "tumble_steps"),
-        (dict(improvement_threshold=-0.1), "improvement_threshold"),
+        (dict(step_size=math.nan), "step_size"),
         (dict(survivor_fraction=0.0), "survivor_fraction"),
         (dict(survivor_fraction=1.5), "survivor_fraction"),
         (dict(neighbor_count=0), "neighbor_count"),
@@ -150,7 +150,7 @@ def test_tumble_step_respects_bounds():
     cfg = AbcoConfig(step_size=1.0)
     rng = RngStream(12)
     for _ in range(100):
-        assert SPACE.contains(tumble_step(np.array([4.9, 0.0]), cfg, SPACE, rng))
+        assert inside(SPACE, tumble_step(np.array([4.9, 0.0]), cfg, SPACE, rng))
 
 
 # --- colony ----------------------------------------------------------------
@@ -179,21 +179,8 @@ def test_explore_updates_personal_bests_downward():
     explore_stage(state, cfg, sphere, SPACE, rng)
     colony = state.population
     assert (colony.best_values <= before).all()
-    assert SPACE.contains(colony.positions).all()
+    assert inside(SPACE, colony.positions).all()
     assert (colony.best_values <= colony.values).all()
-
-
-def test_explore_threshold_gates_directed_steps():
-    counts = []
-    for threshold in (0.0, 0.5, math.inf):
-        cfg = AbcoConfig(size=8, improvement_threshold=threshold)
-        rng = RngStream(33)
-        state = fresh_state(seeded(SPACE, cfg.size, sphere, rng))
-        explore_stage(state, cfg, sphere, SPACE, rng)
-        counts.append(state.diagnostics.get("directed_steps", 0))
-    assert counts[0] >= counts[1] >= counts[2]
-    assert counts[2] == 0
-    assert counts[0] > 0
 
 
 def test_explore_rolls_back_non_finite():
@@ -234,13 +221,9 @@ def snapshot(state, rng):
 def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
     # step_size reaches 1.5 box widths, so many tumbles leave the box and
     # are repaired; a nan region adds rollbacks. Only the batched run
-    # counts its repairs: tumble_step calls repair_bounds on every tumble.
+    # counts the rows it repairs.
     repairs, tumbles = [], 0
-
-    def counted(*args):
-        repairs.append(1)
-        return repair_bounds(*args)
-
+    counted = counting_repairs(repairs)
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(4_400 + case)
         cut = space.upper - (space.upper - space.lower) / 8
@@ -262,7 +245,7 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
             reference = explore()
         assert batched == reference, case
         tumbles += cfg.size * cfg.explore_steps * cfg.tumble_steps
-    assert 0 < len(repairs) < tumbles
+    assert 0 < sum(repairs) < tumbles
 
 
 def test_explore_round_repairs_row_major_on_the_repair_stream():
@@ -400,7 +383,7 @@ def test_reproduce_conserves_size_and_bounds():
     state = fresh_state(seeded(SPACE, cfg.size, sphere, rng))
     reproduce_stage(state, cfg, sphere, SPACE, rng)
     assert len(state.population) == cfg.size
-    assert SPACE.contains(state.population.positions).all()
+    assert inside(SPACE, state.population.positions).all()
 
 
 def test_reproduce_keeps_exactly_the_best():
@@ -452,7 +435,7 @@ def test_reproduce_single_survivor_reseeds():
     state = fresh_state(seeded(SPACE, cfg.size, sphere, rng))
     reproduce_stage(state, cfg, sphere, SPACE, rng)
     assert len(state.population) == 4
-    assert SPACE.contains(state.population.positions).all()
+    assert inside(SPACE, state.population.positions).all()
 
 
 # --- stage equivalence -----------------------------------------------------
@@ -480,8 +463,6 @@ def reference_explore(state, cfg, objective, space, rng):
                 if gain > 0.0:
                     colony.best_values[index] = value
                     colony.best_positions[index] = moved
-                if gain > cfg.improvement_threshold:
-                    _bump(state.diagnostics, "directed_steps")
     return state
 
 
@@ -561,8 +542,7 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
     # nan region in a third of the cases gives nan bests and rollbacks,
     # and values rounded down to halves in another third give exact ties.
     repairs, stage_repairs = [], 0
-    monkeypatch.setattr(abco, "repair_bounds",
-                        lambda *args: repairs.append(1) or repair_bounds(*args))
+    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(5_500 + case)
         width = space.upper - space.lower
@@ -584,7 +564,7 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
             return snapshot(state, rng)
 
         staged = run(stage)
-        stage_repairs += len(repairs)
+        stage_repairs += sum(repairs)
         assert staged == run(reference), case
     if stage is exploit_stage:
         assert stage_repairs > 0
@@ -657,7 +637,7 @@ def test_run_abco_history_is_monotone():
     history = result.diagnostics["best_history"]
     assert len(history) == result.iterations_executed
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
-    assert spec_of("ackley").space.contains(result.best_position)
+    assert inside(spec_of("ackley").space, result.best_position)
 
 
 def test_run_abco_stops_on_stagnation():

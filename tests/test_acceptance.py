@@ -44,6 +44,7 @@ from swarmopt.harness import (
     read_results,
     run_experiment,
 )
+from test_core import inside
 
 MIN = OptimizationMode.MIN
 MAX = OptimizationMode.MAX
@@ -76,14 +77,19 @@ def random_objective(case_seed: int):
         offset = np.asarray(point, dtype=float) - center
         return float(offset @ offset + slope @ offset)
 
-    cfg = AbcoConfig(
+    steps = dict(
         size=int(draw.integers(2, 9)),
         iterations=int(draw.integers(4, 12)),
         step_size=float(draw.uniform(0.1, 1.5 * (upper - lower))),
         explore_steps=int(draw.integers(1, 3)),
         exploit_steps=int(draw.integers(1, 3)),
         tumble_steps=int(draw.integers(1, 3)),
-        improvement_threshold=float(draw.uniform(0.0, 0.5)),
+    )
+    # The draw of a parameter since removed, kept so that every later draw,
+    # and the cases built from them, stay where they were.
+    draw.uniform(0.0, 0.5)
+    cfg = AbcoConfig(
+        **steps,
         survivor_fraction=0.05 if case_seed % 5 == 0 else float(draw.uniform(0.2, 1.0)),
         neighbor_count=int(draw.integers(1, 6)),
         generation_gap=float(draw.uniform(10.0, 60.0)),
@@ -271,8 +277,8 @@ def test_criterion_6_bounds_hold_after_every_stage():
         state = fresh_state(space, evaluator, cfg, stream)
         for stage in (explore_stage, exploit_stage, reproduce_stage):
             stage(state, cfg, evaluator, space, stream)
-            assert space.contains(state.population.positions).all(), stage.__name__
-            assert space.contains(state.population.best_positions).all(), stage.__name__
+            assert inside(space, state.population.positions).all(), stage.__name__
+            assert inside(space, state.population.best_positions).all(), stage.__name__
 
 
 def test_criterion_6_best_values_never_worsen():

@@ -24,7 +24,7 @@ from swarmopt.core import (
     repair_bounds,
 )
 from swarmopt.benchmarks import ObjectiveSpec
-from test_core import repaired_row_major
+from test_core import counting_repairs, inside, repaired_row_major
 
 
 def objective_from(evaluator, space, mode=OptimizationMode.MIN):
@@ -122,7 +122,7 @@ def test_pso_is_deterministic_and_bounded():
     b = run_pso(objective, cfg, RngStream(55))
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_position, b.best_position)
-    assert objective.space.contains(a.best_position)
+    assert inside(objective.space, a.best_position)
     history = a.diagnostics["best_history"]
     assert all(y <= x + 1e-15 for x, y in zip(history, history[1:]))
 
@@ -206,7 +206,7 @@ def test_acor_tiny_box_pins_the_archive():
     space = SearchSpace(2, 0.5, 0.5 + 1e-13)
     cfg = AcorConfig(size=4, iterations=5, sample_count=3)
     result = run_acor(objective_from(sphere, space), cfg, RngStream(1))
-    assert space.contains(result.best_position)
+    assert inside(space, result.best_position)
     assert result.best_value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -217,7 +217,7 @@ def test_acor_is_deterministic_and_bounded():
     b = run_acor(objective, cfg, RngStream(19))
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_position, b.best_position)
-    assert objective.space.contains(a.best_position)
+    assert inside(objective.space, a.best_position)
     history = a.diagnostics["best_history"]
     assert all(y <= x + 1e-15 for x, y in zip(history, history[1:]))
 
@@ -277,8 +277,7 @@ def test_acor_matches_its_per_ant_reference(monkeypatch):
     # so archives crowd an edge and many samples leave it; a third of the
     # cases return nan past a cut on the first coordinate.
     repairs = []
-    monkeypatch.setattr(baselines, "repair_bounds",
-                        lambda *args: repairs.append(1) or repair_bounds(*args))
+    monkeypatch.setattr(baselines, "repair_bounds", counting_repairs(repairs))
     samples = 0
     for case in range(60):
         draw = np.random.default_rng(7_000 + case)
@@ -325,8 +324,8 @@ def test_acor_matches_its_per_ant_reference(monkeypatch):
         assert evaluations == ref_evaluations == len(seen)
         assert states == ref_states, case
         samples += evaluations - cfg.size
-    # both paths run: samples inside the box skip repair, the rest take it
-    assert samples // 3 < len(repairs) < samples - samples // 3
+    # both paths run: samples inside the box pass through, the rest are repaired
+    assert samples // 3 < sum(repairs) < samples - samples // 3
 
 
 def test_acor_iteration_repairs_row_major_on_the_repair_stream():
@@ -373,12 +372,18 @@ def test_acor_iteration_repairs_row_major_on_the_repair_stream():
 def test_deviation_sums_round_like_per_guide_np_sum(dim):
     # Pins numpy's reduction order: pairwise for a 1-D column (blocks of 8
     # up to 128 values, split above), row by row over axis 0 otherwise.
+    # Guides are every member once, a few with repeats, more guides than
+    # members, and one member picked by every ant.
     draw = np.random.default_rng(dim)
+    picks = np.random.default_rng(100 + dim)
     for size in (2, 3, 7, 8, 9, 16, 17, 25, 100, 128, 129, 200):
         scales = 10.0 ** draw.uniform(-4.0, 4.0, size=(size, 1))
         positions = draw.normal(size=(size, dim)) * scales
         positions[draw.integers(0, size, size=size // 3)] = positions[-1]
         if size == 17:  # a nan makes every sum on its coordinate nan
             positions[size // 2, dim - 1] = np.nan
-        expected = [np.sum(np.abs(positions - positions[g]), axis=0) for g in range(size)]
-        np.testing.assert_array_equal(baselines._deviation_sums(positions), expected)
+        for guides in (np.arange(size), picks.integers(0, size, size=size // 4 + 1),
+                       picks.integers(0, size, size=2 * size + 3), np.full(5, size - 1)):
+            expected = [np.sum(np.abs(positions - positions[g]), axis=0) for g in guides]
+            np.testing.assert_array_equal(
+                baselines._deviation_sums(positions, guides), expected)

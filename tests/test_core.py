@@ -24,6 +24,22 @@ from swarmopt.core import (
 )
 
 
+def inside(space, points):
+    """Whether every coordinate lies in the box, over the last axis: one
+    bool for a (dim,) point, one per row of a matrix. nan is outside."""
+    points = np.asarray(points, dtype=float)
+    return ((points >= space.lower) & (points <= space.upper)).all(axis=-1)
+
+
+def counting_repairs(counts):
+    """repair_bounds, appending to `counts` how many of the rows handed to
+    each call lie outside the box."""
+    def counted(points, space, rng):
+        counts.append(int(np.count_nonzero(~inside(space, points))))
+        return repair_bounds(points, space, rng)
+    return counted
+
+
 def test_derive_seed_is_stable():
     assert derive_seed(1001, "sphere", "abco", 0) == derive_seed(1001, "sphere", "abco", 0)
 
@@ -64,19 +80,11 @@ def test_search_space_validation():
         SearchSpace(2, float("nan"), 1.0)
 
 
-def test_search_space_contains():
-    space = SearchSpace(2, -5.0, 5.0)
-    assert space.contains((0.0, 5.0))
-    assert not space.contains((0.0, 5.1))
-    rows = [(0.0, 5.0), (0.0, 5.1), (float("nan"), 0.0), (-5.0, -5.0)]
-    assert space.contains(rows).tolist() == [True, False, False, True]
-
-
 def test_seed_population_layout():
     space = SearchSpace(3, -2.0, 4.0)
     positions, values = seed_population(space, 12, lambda p: float(np.sum(p)), RngStream(5))
     assert positions.shape == (12, 3) and values.shape == (12,)
-    assert space.contains(positions).all()
+    assert inside(space, positions).all()
     for position, value in zip(positions, values):
         assert value == pytest.approx(float(np.sum(position)))
     # one (size, dim) uniform draw, as PSO and ACO seeded before sharing it
@@ -226,14 +234,14 @@ def test_repair_bounds_resamples_violations():
     space = SearchSpace(3, -1.0, 1.0)
     for seed in range(30):
         repaired = repair_bounds(np.array([-3.0, 0.25, 9.0]), space, RngStream(seed))
-        assert space.contains(repaired)
+        assert inside(space, repaired)
         assert repaired[1] == 0.25
 
 
 def test_repair_bounds_catches_nan():
     space = SearchSpace(2, -1.0, 1.0)
     repaired = repair_bounds(np.array([float("nan"), 0.0]), space, RngStream(8))
-    assert space.contains(repaired)
+    assert inside(space, repaired)
 
 
 def test_repair_bounds_draws_in_ascending_coordinate_order():
@@ -270,8 +278,57 @@ def test_repair_stream_is_a_pure_function_of_the_seed():
 
 
 def test_repair_bounds_shape_check():
-    with pytest.raises(ValueError):
-        repair_bounds(np.zeros(3), SearchSpace(2, -1.0, 1.0), RngStream(1))
+    rng = RngStream(1)
+    for shape in [(), (3,), (1,), (0,), (4, 3), (2, 1), (2, 2, 2)]:
+        with pytest.raises(ValueError, match=r"shape .* expected \(2,\) or \(m, 2\)"):
+            repair_bounds(np.zeros(shape), SearchSpace(2, -1.0, 1.0), rng)
+    assert rng.repairs.bit_generator.state == RngStream(1).repairs.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_repair_bounds_matrix_is_one_scalar_draw_per_coordinate_row_major(dim):
+    # Rows over a box widened by half a width per side, with nan, infinite
+    # and boundary coordinates scattered in; a third of the batches lie
+    # wholly inside, boundaries included, and draw nothing.
+    draw = np.random.default_rng(40 + dim)
+    drawn = 0
+    for case in range(30):
+        space = SearchSpace(dim, float(draw.uniform(-9.0, -0.1)), float(draw.uniform(0.1, 9.0)))
+        width = space.upper - space.lower
+        rows = int(draw.integers(0, 40))
+        wholly_inside = case % 3 == 0
+        margin = 0.0 if wholly_inside else width / 2
+        points = draw.uniform(space.lower - margin, space.upper + margin, size=(rows, dim))
+        specials = [space.lower, space.upper]
+        if not wholly_inside:
+            specials += [np.nan, np.inf, -np.inf]
+        odd = draw.random(points.shape) < 0.1
+        points[odd] = draw.choice(specials, size=int(odd.sum()))
+        before = points.copy()
+        rng, reference = RngStream(case), RngStream(case)
+        repaired = repair_bounds(points, space, rng)
+        expected = repaired_row_major(points, space, reference.repairs)
+        assert repaired.shape == points.shape
+        assert repaired.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), case
+        assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
+        assert rng.generator.bit_generator.state == RngStream(case).generator.bit_generator.state
+        if wholly_inside:
+            assert rng.repairs.bit_generator.state == RngStream(case).repairs.bit_generator.state
+        assert np.array_equal(points, before, equal_nan=True)
+        assert not np.shares_memory(repaired, points)
+        assert inside(space, repaired).all()
+        drawn += int(np.count_nonzero(repaired != before))
+    assert drawn > 100
+
+
+def test_repair_bounds_point_equals_its_one_row_batch():
+    space = SearchSpace(5, -1.0, 1.0)
+    point = np.array([np.inf, 0.5, np.nan, -1.5, 1.0])
+    single, batch = RngStream(6), RngStream(6)
+    repaired = repair_bounds(point, space, single)
+    assert repaired.shape == (5,)
+    assert repaired.tobytes() == repair_bounds(point[None], space, batch)[0].tobytes()
+    assert single.repairs.bit_generator.state == batch.repairs.bit_generator.state
 
 
 def test_error_rate():

@@ -95,12 +95,12 @@ def test_bundled_presets_cover_every_function():
     for name in list_functions():
         preset = abco_preset(name)
         assert set(preset) == {
-            "N_s", "N_explor", "N_explt", "N_tum", "e", "s", "k",
+            "N_s", "N_explor", "N_explt", "N_tum", "s", "k",
             "generation_gap", "unchanged_threshold",
         }
     assert abco_preset("sphere")["N_tum"] == 3
     assert abco_preset("sphere")["k"] == 15
-    assert abco_preset("ackley")["e"] == 0.05
+    assert abco_preset("ackley")["s"] == 0.8
 
 
 def test_bundled_experiment_configs_resolve():
@@ -131,7 +131,6 @@ def test_preset_parameters_reach_the_colony_configs():
     cfg = load_config("experiment2")
     sphere = cfg.abco["sphere"]
     assert sphere.tumble_steps == 3
-    assert sphere.improvement_threshold == pytest.approx(0.4)
     assert sphere.survivor_fraction == pytest.approx(0.5)
     assert sphere.neighbor_count == 15
     ackley = cfg.abco["ackley"]
@@ -203,6 +202,20 @@ def test_load_config_names_the_offending_key(tmp_path, mutation, needle):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigurationError, match=needle):
         load_config(path)
+
+
+@pytest.mark.parametrize("block,needle", [
+    ({"e": 0.05}, "abco.e"),
+    ({"booth": {"e": 0.4}}, "abco.booth.e"),
+])
+def test_the_retired_improvement_threshold_is_an_unknown_key(tmp_path, capsys, block, needle):
+    # `e` gated a directed step that no run takes, so it was removed.
+    with pytest.raises(ConfigurationError) as err:
+        load_config(tiny_config(tmp_path, abco=block))
+    assert str(err.value) == f"tiny.json: unknown key {needle}"
+    assert cli_main(["run", "--algorithm", "abco", "--function", "booth",
+                     "--param", "e=0.05"]) == 1
+    assert "unknown parameter 'e' for abco" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["functions", "algorithms"])
@@ -605,7 +618,7 @@ def test_cli_run_param_overrides_reach_the_optimizer(tmp_path, capsys):
     code = cli_main([
         "run", "--algorithm", "abco", "--function", "sphere",
         "--pop-size", "6", "--iters", "4", "--runs", "1",
-        "--param", "N_tum=2", "--param", "e=0.1", "--out", str(out),
+        "--param", "N_tum=2", "--param", "s=0.5", "--out", str(out),
     ])
     assert code == 0
     capsys.readouterr()
