@@ -144,7 +144,7 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
         )
         positions = positions + velocities
         outside = (positions < space.lower) | (positions > space.upper)
-        positions = np.clip(positions, space.lower, space.upper)
+        positions = np.minimum(np.maximum(positions, space.lower), space.upper)
         velocities[outside] = 0.0
 
         values = evaluate_rows(evaluate, positions)

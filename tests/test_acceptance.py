@@ -130,7 +130,6 @@ def fresh_state(space, evaluator, cfg, stream) -> RunState:
 def adhoc_objective(space, evaluator, mode) -> ObjectiveSpec:
     return ObjectiveSpec(
         name="case",
-        dim=space.dim,
         space=space,
         known_minimum=0.0,
         known_argmin=(0.0,) * space.dim,
@@ -168,7 +167,7 @@ def test_criterion_2_random_sampling_never_beats_known_minimum():
     for index, name in enumerate(list_functions()):
         spec = spec_of(name)
         stream = RngStream(derive_seed(20_000, name, "lower-bound", index))
-        points = stream.uniform(spec.space.lower, spec.space.upper, size=(1000, spec.dim))
+        points = stream.uniform(spec.space.lower, spec.space.upper, size=(1000, spec.space.dim))
         values = np.array([evaluate(name, point) for point in points])
         assert np.all(values >= spec.known_minimum - 1e-9), name
 

@@ -30,7 +30,6 @@ from test_core import counting_repairs, inside, repaired_row_major
 def objective_from(evaluator, space, mode=OptimizationMode.MIN):
     return ObjectiveSpec(
         name="adhoc",
-        dim=space.dim,
         space=space,
         known_minimum=0.0,
         known_argmin=(0.0,) * space.dim,

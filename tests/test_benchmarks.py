@@ -1,6 +1,7 @@
 """Benchmark registry: domains, published optima, spot values, column forms."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,7 @@ def test_registry_lists_ten_functions():
 def test_registry_domains():
     for name, (lower, upper) in EXPECTED_DOMAINS.items():
         spec = spec_of(name)
-        assert spec.dim == 2
+        assert spec.space.dim == 2
         assert (spec.space.lower, spec.space.upper) == (lower, upper)
         assert spec.mode is OptimizationMode.MIN
 
@@ -78,7 +79,7 @@ def test_random_points_never_beat_minimum():
     rng = RngStream(123)
     for name in list_functions():
         spec = spec_of(name)
-        points = rng.uniform(spec.space.lower, spec.space.upper, size=(200, spec.dim))
+        points = rng.uniform(spec.space.lower, spec.space.upper, size=(200, spec.space.dim))
         values = np.array([spec.evaluator(p) for p in points])
         assert np.all(values >= spec.known_minimum - 1e-9), name
 
@@ -124,6 +125,64 @@ def test_column_form_equals_scalar_form_bit_for_bit(name, dim):
         differ = np.flatnonzero(columns.view(np.uint64) != scalars.view(np.uint64))
         assert differ.size == 0, (mode, rows[differ[:3]], columns[differ[:3]],
                                   scalars[differ[:3]])
+
+
+# Squares of 1e-160 are subnormal; squares from 1e150 up take the element
+# loop, and those of 1e155 overflow; 1e4 overflows holders_table's exp.
+# math.sin and math.cos raise ValueError at ±inf where np.sin and np.cos
+# return nan, so coordinates that are infinite or whose squares overflow go
+# only to the objectives that take no sine or cosine.
+EXTREMES = (0.0, 1e-160, -3e-155, 2.5, -7.25, 1e4, 1e149, -1e149, 1e151, -1e151, math.nan)
+OVERFLOWING = (1e155, math.inf, -math.inf)
+TAKE_OVERFLOWING = ("booth", "goldstein_price", "himmelblau", "rosenbrock", "sphere")
+
+
+def outcome(evaluate, rows):
+    """What an evaluation returns, or the type of the exception it raises."""
+    try:
+        return np.asarray(evaluate(rows), dtype=float)
+    except Exception as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("name,dim", COLUMN_CASES)
+def test_column_form_equals_scalar_form_at_extreme_coordinates(name, dim):
+    values = EXTREMES + (OVERFLOWING if name in TAKE_OVERFLOWING else ())
+    if dim <= 2:
+        rows = np.array(list(itertools.product(values, repeat=dim)))
+    else:
+        rows = RngStream(dim).generator.choice(values, size=(400, dim))
+    evaluator = spec_of(name).evaluator
+    assert evaluator.batch(rows[:0]).shape == (0,)
+    # numpy warns where Python's float arithmetic returns inf or nan
+    # silently; the forms are compared on what they return or raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in (1, 5, len(rows)):
+            for start in range(0, len(rows), size):
+                batch = rows[start:start + size]
+                scalars = [outcome(evaluator, row) for row in batch]
+                columns = outcome(evaluator.batch, batch)
+                raised = [kind for kind in scalars if isinstance(kind, type)]
+                if raised:
+                    assert columns is raised[0] and set(raised) == {OverflowError}, batch
+                    continue
+                scalars = np.array(scalars)
+                # A nan's sign bit follows operand order and carries no value.
+                same = (columns.view(np.uint64) == scalars.view(np.uint64)) | (
+                    np.isnan(columns) & np.isnan(scalars))
+                assert same.all(), (batch[~same], columns[~same], scalars[~same])
+
+
+@pytest.mark.parametrize("name", ["booth", "rosenbrock", "himmelblau"])
+def test_squares_past_the_float_range_raise_overflow_error_on_both_forms(name):
+    evaluator = spec_of(name).evaluator
+    row = np.array([1.0, 1e200])
+    with pytest.raises(OverflowError):
+        evaluator(row)
+    with pytest.raises(OverflowError):
+        evaluator.batch(row[None, :])
+    with pytest.raises(OverflowError):
+        evaluator.batch(np.vstack([np.zeros((4, 2)), row]))
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def test_lone_survivor_reseeds_identically_on_both_paths(mode):
 @pytest.mark.parametrize("name", ["sphere", "rastrigin"])
 def test_any_dimension_objectives_agree_on_both_paths(name, algorithm, dim):
     spec = spec_of(name)
-    spec = replace(spec, dim=dim, space=SearchSpace(dim, spec.space.lower, spec.space.upper))
+    spec = replace(spec, space=SearchSpace(dim, spec.space.lower, spec.space.upper))
     assert_paths_agree(spec, algorithm)
 
 

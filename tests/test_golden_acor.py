@@ -29,7 +29,7 @@ RESIZED = (("sphere", 1), ("rastrigin", 1), ("sphere", 3), ("rastrigin", 3),
 def resized_spec(function_id: str, dim: int):
     spec = spec_of(function_id)
     space = SearchSpace(dim, spec.space.lower, spec.space.upper)
-    return replace(spec, dim=dim, space=space, known_argmin=spec.known_argmin[:1] * dim)
+    return replace(spec, space=space, known_argmin=spec.known_argmin[:1] * dim)
 
 
 def acor_digest() -> str:
@@ -40,7 +40,7 @@ def acor_digest() -> str:
     sink = hashlib.sha256()
     for spec in cases:
         for run_index in range(SEEDS_PER_CELL):
-            seed = derive_seed(spec.dim, spec.name, "aco", run_index)
+            seed = derive_seed(spec.space.dim, spec.name, "aco", run_index)
             _fold(sink, run_acor(_recording(spec, sink), cfg, RngStream(seed)))
     return sink.hexdigest()
 

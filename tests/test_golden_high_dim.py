@@ -30,7 +30,7 @@ SEEDS_PER_CELL = 2
 def high_dim_spec(function_id: str):
     spec = spec_of(function_id)
     space = SearchSpace(DIM, spec.space.lower, spec.space.upper)
-    return replace(spec, dim=DIM, space=space,
+    return replace(spec, space=space,
                    known_argmin=spec.known_argmin[:1] * DIM)
 
 

@@ -35,7 +35,7 @@ def pso_digest() -> str:
     for spec, size in cases:
         cfg = PsoConfig(size=size, iterations=ITERATIONS)
         for run_index in range(SEEDS_PER_CELL):
-            seed = derive_seed(size * spec.dim, spec.name, "pso", run_index)
+            seed = derive_seed(size * spec.space.dim, spec.name, "pso", run_index)
             _fold(sink, run_pso(_recording(spec, sink), cfg, RngStream(seed)))
     return sink.hexdigest()
 
