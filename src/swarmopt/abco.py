@@ -16,8 +16,10 @@ over all its rows, row by row, and in exploit per step as it is taken.
 
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
-Exploit queries k_nearest per member on one live position matrix and
-repairs only steps that leave the box, then evaluates the one move.
+Each exploit pass builds the distance matrix once, row s bit-equal to
+k_nearest's distances from member s, and a move refreshes only the
+mover's column (see _distance_matrix). Exploit repairs only steps that
+leave the box, then evaluates the one move.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row. Explore rounds and reproduce's
 replacements are each evaluated in one core.evaluate_rows call.
@@ -39,12 +41,13 @@ from .core import (
     at_least,
     check_fields,
     evaluate_rows,
-    k_nearest,
+    k_nearest,  # noqa: F401 - perfbench/tracing.py patches abco.k_nearest by name
     minimised,
     non_negative,
     param,
     positive,
     quality_key,
+    rank_neighbours,
     repair_bounds,
     seed_population,
     up_to,
@@ -64,6 +67,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n, d) distance block, ~1 MB
 
 
 def _round_half_up(value: float) -> int:
@@ -192,10 +197,11 @@ def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
     directions = rng.standard_normal((size, dim))
     # Stacked matmul gives the same squared norm as direction @ direction.
     squared = (directions[:, None, :] @ directions[:, :, None]).ravel()
-    for row in np.flatnonzero(squared == 0.0):
-        while squared[row] == 0.0:
-            directions[row] = rng.standard_normal(dim)
-            squared[row] = directions[row] @ directions[row]
+    if not squared.all():
+        for row in np.flatnonzero(squared == 0.0):
+            while squared[row] == 0.0:
+                directions[row] = rng.standard_normal(dim)
+                squared[row] = directions[row] @ directions[row]
     moved = positions + (cfg.step_size / np.sqrt(squared))[:, None] * directions
     return repair_bounds(moved, space, rng)
 
@@ -234,16 +240,33 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
             values = evaluate_rows(objective, moved)
             state.evaluations += len(values)
             # Only finite rows move, and a finite value is its own key.
-            rows = np.flatnonzero(np.isfinite(values))
-            rolled_back += len(values) - len(rows)
-            improved = rows[values[rows] < best_keys[rows]]
-            colony.positions[rows] = moved[rows]
-            colony.values[rows] = values[rows]
-            colony.best_positions[improved] = moved[improved]
-            colony.best_values[improved] = values[improved]
-            best_keys[improved] = values[improved]
+            finite = np.isfinite(values)
+            improved = finite & (values < best_keys)
+            rolled_back += len(values) - int(np.count_nonzero(finite))
+            np.copyto(colony.positions, moved, where=finite[:, None])
+            np.copyto(colony.values, values, where=finite)
+            np.copyto(colony.best_positions, moved, where=improved[:, None])
+            np.copyto(colony.best_values, values, where=improved)
+            np.copyto(best_keys, values, where=improved)
     _tally(state.diagnostics, rolled_back_moves=rolled_back)
     return state
+
+
+def _distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix whose row s is k_nearest's distances from member s.
+
+    Rows take k_nearest's arithmetic (other minus subject, the same einsum
+    kernel, sqrt), in blocks of about _BLOCK_ELEMENTS differences. Exploit
+    refreshes a mover's column from positions minus its new point: negation
+    is exact, so the column stays bit-equal to what k_nearest would give.
+    """
+    size, dim = positions.shape
+    rows = max(1, _BLOCK_ELEMENTS // (size * dim))
+    distances = np.empty((size, size))
+    for start in range(0, size, rows):
+        deltas = positions[None] - positions[start:start + rows, None]
+        np.sqrt(np.einsum("sjd,sjd->sj", deltas, deltas), out=distances[start:start + rows])
+    return distances
 
 
 def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
@@ -253,14 +276,14 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass. A step between two in-box points leaves
-    the box only by rounding, so only a step with a coordinate outside the
-    box goes through repair_bounds, which would draw nothing for the rest.
+    moves within the same pass through the refreshed distance columns. A
+    step between two in-box points leaves the box only by rounding, so
+    only a step with a coordinate outside the box goes through
+    repair_bounds, which would draw nothing for the rest.
     """
     colony = state.population
     size = len(colony)
     if size < 2:
-        logger.warning("exploit stage skipped: population of one has no neighbours")
         _tally(state.diagnostics, exploit_skipped=1)
         return state
     k = min(cfg.neighbor_count, size - 1)
@@ -270,10 +293,11 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     best_keys = quality_key(colony.best_values).tolist()
     moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
+        distances = _distance_matrix(positions)
         for index in range(size):
             target_index = None
             target_key = best_keys[index]
-            for neighbour_index, _ in k_nearest(positions, index, k):
+            for neighbour_index in rank_neighbours(distances[index], index, k):
                 if best_keys[neighbour_index] < target_key:
                     target_index = neighbour_index
                     target_key = best_keys[neighbour_index]
@@ -288,6 +312,8 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                 rolled_back += 1
                 continue
             positions[index] = moved
+            deltas = positions - moved
+            distances[:, index] = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
             colony.values[index] = value
             moves += 1
             # A finite value is its own quality key.
@@ -385,12 +411,15 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     and its mode decides the direction of improvement. The global best
     starts from the seeded population and is refreshed before and after
     reproduction each iteration, so it is the best value ever evaluated.
-    The reported best and history are the objective's own values.
+    The reported best and history are the objective's own values. A
+    population of one warns once per run that exploit is skipped.
     """
     started = time.perf_counter()
     space = objective.space
     evaluator, sign = minimised(objective)
 
+    if cfg.size < 2:
+        logger.warning("exploit stage skipped: population of one has no neighbours")
     positions, values = seed_population(space, cfg.size, evaluator, rng)
     champion = int(quality_key(values).argmin())
     state = RunState(

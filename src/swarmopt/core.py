@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_rows",
     "quality_key",
     "seed_population",
+    "rank_neighbours",
     "k_nearest",
     "repair_bounds",
     "error_rate",
@@ -274,14 +275,22 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
         raise ConfigurationError(f"neighbour count must be at least 1, got {k}")
     deltas = matrix - matrix[subject_index]
     distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    # A stable sort keeps equal distances in index order. Ties or a nan row
-    # can put the subject past the first k + 1; then the last of them goes.
+    return [(index, distances.item(index))
+            for index in rank_neighbours(distances, subject_index, k)]
+
+
+def rank_neighbours(distances: np.ndarray, subject_index: int, k: int) -> list[int]:
+    """k_nearest's indices, ranked from the subject's (size,) row of distances.
+
+    A stable sort keeps equal distances in index order. Ties or a nan entry
+    can put the subject past the first k + 1; then the last of them goes.
+    """
     nearest = distances.argsort(kind="stable")[: k + 1].tolist()
     if subject_index in nearest:
         nearest.remove(subject_index)
     else:
         nearest.pop()
-    return [(index, distances.item(index)) for index in nearest]
+    return nearest
 
 
 def repair_bounds(points, space: SearchSpace, rng: RngStream) -> np.ndarray:

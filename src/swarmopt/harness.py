@@ -10,7 +10,7 @@ experiment_id and base_seed optional):
     functions           list of benchmark ids (default: the full registry)
     algorithms          list drawn from abco / pso / aco (default: all three)
     abco                colony parameters, either flat {N_s, N_explor, N_explt,
-                        N_tum, e, s, k, generation_gap, unchanged_threshold,
+                        N_tum, s, k, generation_gap, unchanged_threshold,
                         size} applied to every function, or keyed by function
                         id with per-function blocks; unset fields fall back to
                         the bundled per-function presets
@@ -46,6 +46,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -208,11 +209,11 @@ def _build(cls, block: dict, location: str, prefix: str, **fixed):
     return cls(**kwargs)
 
 
-def _positive_int(location: str, key: str, value, *, minimum=1) -> int:
+def _positive_int(location: str, key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{location}: {key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{location}: {key} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise ConfigurationError(f"{location}: {key} must be >= 1, got {value}")
     return value
 
 
@@ -369,23 +370,16 @@ def _execute_run(task) -> RunRecord:
 
 
 def _cell_config(cfg: ExperimentConfig, function_id: str, algorithm_id: str):
-    if algorithm_id == "abco":
-        return cfg.abco[function_id]
-    if algorithm_id == "pso":
-        return cfg.pso
-    return cfg.aco
+    return cfg.abco[function_id] if algorithm_id == "abco" else getattr(cfg, algorithm_id)
 
 
 def _worker_count(task_count: int) -> int:
-    raw = os.environ.get("SWARM_OPT_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"SWARM_OPT_THREADS must be an integer, got {raw!r}") from None
-    else:
-        cap = 0
+    raw = os.environ.get("SWARM_OPT_THREADS", "").strip() or "0"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"SWARM_OPT_THREADS must be an integer, got {raw!r}") from None
     if cap <= 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, task_count))
@@ -469,80 +463,63 @@ def read_results(in_path) -> list[RunRecord]:
     return records
 
 
-def _ordered_unique(items) -> list:
-    seen = {}
-    for item in items:
-        seen.setdefault(item, None)
-    return list(seen)
-
-
-def summarize(records, metric: str) -> list[tuple[str, str, StatsSummary]]:
-    """Per-cell statistics of one metric ('error' or 'runtime_seconds'),
-    in function-major order. Failed runs are excluded."""
+def _cells(records) -> dict:
+    """Live records grouped by (function, algorithm) in one pass; each cell
+    maps to its sorted population sizes and its error and runtime_seconds
+    statistics. Cells run function-major, functions and algorithms each in
+    order of first appearance among the live records."""
     live = [r for r in records if not r.failed]
-    rows = []
-    for function_id in _ordered_unique(r.function for r in live):
-        for algorithm_id in _ordered_unique(r.algorithm for r in live):
-            values = [getattr(r, metric) for r in live
-                      if r.function == function_id and r.algorithm == algorithm_id]
-            if values:
-                rows.append((function_id, algorithm_id, aggregate_stats(values)))
-    return rows
+    groups = {}
+    for record in live:
+        groups.setdefault((record.function, record.algorithm), []).append(record)
+    functions = list(dict.fromkeys(r.function for r in live))
+    algorithms = list(dict.fromkeys(r.algorithm for r in live))
+    order = sorted(groups, key=lambda cell: (functions.index(cell[0]), algorithms.index(cell[1])))
+    return {cell: (sorted({r.pop_size for r in groups[cell]}),
+                   {metric: aggregate_stats([getattr(r, metric) for r in groups[cell]])
+                    for metric in ("error", "runtime_seconds")})
+            for cell in order}
 
 
-def write_summary(records, metric: str, out_path) -> None:
+def write_summary(records, metric: str, out_path, cells=None) -> None:
+    """Write each cell's statistics of one metric ('error' or
+    'runtime_seconds') as CSV, in function-major order, failed runs
+    excluded. `cells` is the records' grouping, if already made."""
     with open(Path(out_path), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["function", "algorithm", "best", "worst", "mean", "std", "n"])
-        for function_id, algorithm_id, stats in summarize(records, metric):
-            writer.writerow([function_id, algorithm_id, repr(stats.best),
-                             repr(stats.worst), repr(stats.mean), repr(stats.std),
-                             stats.n])
+        for (function_id, algorithm_id), (_, stats) in (cells or _cells(records)).items():
+            summary = stats[metric]
+            writer.writerow([function_id, algorithm_id, repr(summary.best),
+                             repr(summary.worst), repr(summary.mean), repr(summary.std),
+                             summary.n])
 
 
-_STAT_NAMES = ("best", "worst", "mean", "std")
-
-
-def render_table(records) -> str:
+def render_table(records, cells=None) -> str:
     """Text table of per-function statistics: for each function, error and
     runtime rows (best/worst/mean/std) with one column per algorithm; the
     best entry in each row is starred. Lower is better for every row, std
-    included (it measures reliability across runs)."""
+    included (it measures reliability across runs). `cells` is the
+    records' grouping, if already made."""
     if not records:
         raise ValueError("render_table needs at least one record")
-    live = [r for r in records if not r.failed]
-    functions = _ordered_unique(r.function for r in live)
-    algorithms = _ordered_unique(r.algorithm for r in live)
-
     lines = []
-    for function_id in functions:
-        subset = [r for r in live if r.function == function_id]
-        present = [a for a in algorithms if any(r.algorithm == a for r in subset)]
-        headers = []
-        for algorithm_id in present:
-            sizes = sorted({r.pop_size for r in subset if r.algorithm == algorithm_id})
-            headers.append(f"{algorithm_id} (n={','.join(map(str, sizes))})")
-
-        grid = []
-        for metric in ("error", "runtime_seconds"):
-            stats = {a: aggregate_stats([getattr(r, metric) for r in subset
-                                         if r.algorithm == a]) for a in present}
-            label = "error" if metric == "error" else "runtime"
-            for stat_name in _STAT_NAMES:
-                row_values = [getattr(stats[a], stat_name) for a in present]
+    for function_id, group in groupby((cells or _cells(records)).items(),
+                                      key=lambda item: item[0][0]):
+        present = [(algorithm_id, *summary) for (_, algorithm_id), summary in group]
+        # The header row, then best/worst/mean/std of error and of runtime.
+        grid = [("", "", [f"{a} (n={','.join(map(str, sizes))})" for a, sizes, _ in present])]
+        for metric, label in (("error", "error"), ("runtime_seconds", "runtime")):
+            for stat_name in ("best", "worst", "mean", "std"):
+                row_values = [getattr(stats[metric], stat_name) for _, _, stats in present]
                 best = min(row_values)
-                cells = [f"{v:.6g}" + ("*" if v == best else "") for v in row_values]
-                grid.append((label if stat_name == "best" else "", stat_name, cells))
-
-        widths = [max(len(headers[i]), max(len(row[2][i]) for row in grid))
-                  for i in range(len(present))]
+                texts = [f"{v:.6g}" + ("*" if v == best else "") for v in row_values]
+                grid.append((label if stat_name == "best" else "", stat_name, texts))
+        widths = [max(len(row[2][i]) for row in grid) for i in range(len(present))]
         lines.append(function_id)
-        lines.append("  {:8s} {:6s} {}".format(
-            "", "", "  ".join(h.ljust(w) for h, w in zip(headers, widths))))
-        for label, stat_name, cells in grid:
-            lines.append("  {:8s} {:6s} {}".format(
-                label, stat_name,
-                "  ".join(c.ljust(w) for c, w in zip(cells, widths))))
+        lines += ["  {:8s} {:6s} {}".format(label, stat_name, "  ".join(
+                      text.ljust(width) for text, width in zip(texts, widths)))
+                  for label, stat_name, texts in grid]
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -578,12 +555,8 @@ def _single_cell_config(algorithm: str, function: str, args) -> object:
 
 
 def _cmd_list(_args) -> int:
-    print("functions:")
-    for name in list_functions():
-        print(f"  {name}")
-    print("algorithms:")
-    for name in ALGORITHMS:
-        print(f"  {name}")
+    print("functions:", *(f"  {name}" for name in list_functions()), sep="\n")
+    print("algorithms:", *(f"  {name}" for name in ALGORITHMS), sep="\n")
     return 0
 
 
@@ -602,15 +575,13 @@ def _cmd_run(args) -> int:
     if args.out:
         write_results(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
-    live = [r for r in records if not r.failed]
-    if live:
-        stats = aggregate_stats([r.error for r in live])
-        runtime = aggregate_stats([r.runtime_seconds for r in live])
-        print(f"{args.function}/{args.algorithm} over {stats.n} runs: "
-              f"error best {stats.best:.6g}, worst {stats.worst:.6g}, "
-              f"mean {stats.mean:.6g}, std {stats.std:.6g}; "
+    for _, stats in _cells(records).values():
+        error, runtime = stats["error"], stats["runtime_seconds"]
+        print(f"{args.function}/{args.algorithm} over {error.n} runs: "
+              f"error best {error.best:.6g}, worst {error.worst:.6g}, "
+              f"mean {error.mean:.6g}, std {error.std:.6g}; "
               f"mean runtime {runtime.mean:.4f}s")
-    failed = len(records) - len(live)
+    failed = sum(r.failed for r in records)
     if failed:
         print(f"{failed} runs failed", file=sys.stderr)
         return 1
@@ -626,11 +597,12 @@ def _cmd_experiment(args) -> int:
     error_path = out_dir / f"{cfg.experiment_id}_error_summary.csv"
     runtime_path = out_dir / f"{cfg.experiment_id}_runtime_summary.csv"
     write_results(records, records_path)
-    write_summary(records, "error", error_path)
-    write_summary(records, "runtime_seconds", runtime_path)
+    cells = _cells(records)
+    write_summary(records, "error", error_path, cells)
+    write_summary(records, "runtime_seconds", runtime_path, cells)
     print(f"wrote {records_path}, {error_path} and {runtime_path}")
     print()
-    print(render_table(records), end="")
+    print(render_table(records, cells), end="")
     failed = sum(r.failed for r in records)
     if failed:
         print(f"{failed} runs failed", file=sys.stderr)

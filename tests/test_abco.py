@@ -1,5 +1,6 @@
 """Colony optimizer stages, configuration arithmetic, early stopping."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from swarmopt.core import (
     derive_seed,
     k_nearest,
     quality_key,
+    rank_neighbours,
     repair_bounds,
     seed_population,
 )
@@ -373,6 +375,47 @@ def test_exploit_single_member_is_noop():
     exploit_stage(state, cfg, tilted, SPACE, RngStream(1))
     assert state.diagnostics.get("exploit_skipped") == 1
     assert np.array_equal(state.population.positions[0], (0.0, 0.0))
+
+
+def test_population_of_one_warns_once_per_run(caplog):
+    cfg = AbcoConfig(size=1, iterations=20)
+    with caplog.at_level(logging.WARNING, logger="swarmopt.abco"):
+        result = run_abco(spec_of("booth"), cfg, RngStream(4))
+    assert [r.getMessage() for r in caplog.records] == [
+        "exploit stage skipped: population of one has no neighbours"]
+    assert result.iterations_executed > 1
+    assert result.diagnostics["exploit_skipped"] == result.iterations_executed
+
+
+def neighbour_layouts(size, dim, rng):
+    """Uniform rows, rows repeating a few points, and integer-grid rows."""
+    uniform = rng.uniform(-5.0, 5.0, (size, dim))
+    repeated = uniform[rng.integers(0, max(1, size // 3), size)]
+    grid = rng.integers(-2, 3, (size, dim)).astype(float)
+    return uniform, repeated, grid
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_distance_matrix_and_ranking_match_k_nearest(dim):
+    # At 400 rows the matrix crosses a block boundary in every dimension;
+    # there every fifth subject and the rows either side of each boundary
+    # are checked.
+    block = abco._BLOCK_ELEMENTS // (400 * dim)
+    assert block < 400
+    edges = {row for start in range(block, 400, block) for row in (start - 1, start)}
+    rng = np.random.default_rng(dim)
+    for size in (2, 3, 25, 400):
+        subjects = sorted(edges | {*range(0, size, 5), size - 1}) if size == 400 else range(size)
+        for positions in neighbour_layouts(size, dim, rng):
+            distances = abco._distance_matrix(positions)
+            for subject in subjects:
+                everyone = k_nearest(positions, subject, size - 1)
+                row = np.zeros(size)
+                row[[index for index, _ in everyone]] = [d for _, d in everyone]
+                assert np.array_equal(distances[subject], row), (size, subject)
+                for k in (1, 2, size):
+                    assert rank_neighbours(distances[subject], subject, k) == [
+                        index for index, _ in k_nearest(positions, subject, k)]
 
 
 # --- reproduce -------------------------------------------------------------

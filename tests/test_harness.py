@@ -1,5 +1,6 @@
 """Experiment harness: config loading, sweeps, statistics, CSV, CLI."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -22,6 +23,7 @@ from swarmopt.harness import (
     render_table,
     run_experiment,
     write_results,
+    write_summary,
 )
 
 
@@ -550,6 +552,53 @@ def test_render_table_rejects_empty_input():
         render_table([])
 
 
+def varied_records():
+    """Records out of canonical order: failed runs, a cell with no live run,
+    mixed population sizes, tied statistics, and an algorithm (aco) that
+    first appears on the second function but ranks after pso on the first."""
+    layout = [("booth", "abco", 25), ("himmelblau", "aco", 100),
+              ("himmelblau", "pso", 25), ("booth", "pso", 25), ("booth", "aco", 100),
+              ("booth", "abco", 15), ("easom", "pso", 25), ("easom", "aco", 100)]
+    rows = []
+    for index, (function, algorithm, size) in enumerate(layout * 3):
+        error = (index % 5) * 10.0 ** (index % 4 - 2)
+        failed = (function, algorithm) == ("easom", "aco") or index % 7 == 3
+        best = math.nan if failed else error - 1.5
+        rows.append(RunRecord(
+            experiment_id="t", function=function, algorithm=algorithm,
+            pop_size=size, run_index=index, seed=index, best_value=best,
+            true_minimum=-1.5, error=math.nan if failed else error,
+            evaluations=10 + index, iterations_executed=5, early_stopped=index % 2 == 0,
+            runtime_seconds=0.01 * (1 + index % 3) / 3.0, failed=failed,
+        ))
+    return rows
+
+
+# Digests of what write_summary and render_table gave for varied_records()
+# before they shared one grouping by cell.
+SUMMARY_OUTPUT_DIGESTS = {
+    "error": "086d019561341f10cf9886745cd27e5fb1c2c47ee1065e96938cb97d5859f678",
+    "runtime_seconds": "f9eca14a1c2a54f4bacdf494891e3f681f1d97fee4836ed22f082e7103d8a284",
+    "table": "10294b8da17cc2992b1350951d3401d748b22fa621fa5a51b28352b887a50101",
+}
+
+
+def test_summaries_and_table_are_byte_identical_on_a_fixed_record_set(tmp_path):
+    records = varied_records()
+    for metric in ("error", "runtime_seconds"):
+        path = tmp_path / f"{metric}.csv"
+        write_summary(records, metric, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SUMMARY_OUTPUT_DIGESTS[metric]
+    table = render_table(records).encode()
+    assert hashlib.sha256(table).hexdigest() == SUMMARY_OUTPUT_DIGESTS["table"]
+    # booth's rows follow the algorithms' first appearance over all live
+    # records (abco, aco, pso), not within booth (abco, pso, aco).
+    rows = (tmp_path / "error.csv").read_text().splitlines()[1:]
+    assert [tuple(row.split(",")[:2]) for row in rows] == [
+        ("booth", "abco"), ("booth", "aco"), ("booth", "pso"),
+        ("himmelblau", "aco"), ("himmelblau", "pso"), ("easom", "pso")]
+
+
 # --- cli ---------------------------------------------------------------------
 
 def test_cli_list_names_everything(capsys):
@@ -639,9 +688,18 @@ def test_cli_experiment_end_to_end(tmp_path, monkeypatch, capsys):
     assert (out_dir / "tiny_runtime_summary.csv").is_file()
     assert len(read_results(records_csv)) == 12
 
+    # the summaries and table written from one grouping match the public
+    # functions on the records read back
+    records = read_results(records_csv)
+    for metric, name in (("error", "error"), ("runtime_seconds", "runtime")):
+        write_summary(records, metric, tmp_path / "expected.csv")
+        assert ((out_dir / f"tiny_{name}_summary.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
+    assert printed.endswith("\n\n" + render_table(records))
+
     # the table subcommand reproduces the same rendering from the file
     assert cli_main(["table", "--in", str(records_csv)]) == 0
-    assert "booth" in capsys.readouterr().out
+    assert capsys.readouterr().out == render_table(records)
 
 
 def test_summary_files_have_expected_header(tmp_path, monkeypatch, capsys):
