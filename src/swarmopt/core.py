@@ -100,12 +100,15 @@ def check_fields(cls, values: dict, spell=lambda name: name) -> None:
     `values` maps every field name to its value. Fields are checked in
     declaration order, and the first failure raises ConfigurationError
     naming the field through `spell`, so a caller can report the key the
-    user wrote. A None value passes where the field's default is None.
+    user wrote. A None value passes where the field's default is None; a
+    float must be finite.
     """
     for name, check, optional in _declared_checks(cls):
         value = values[name]
         if value is None and optional:
             continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{spell(name)} must be finite, got {value}")
         holds, expectation = check(value, values, spell)
         if not holds:
             raise ConfigurationError(f"{spell(name)} must be {expectation}, got {value}")

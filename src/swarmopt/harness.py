@@ -3,7 +3,8 @@
 Experiments are described by JSON files with the following keys (all except
 experiment_id and base_seed optional):
 
-    experiment_id       string naming the experiment
+    experiment_id       string naming the experiment and its output files,
+                        so a plain file name: no / or \\, not . or ..
     base_seed           integer; every run's seed is derived from it
     iter                iteration budget for all algorithms (default 100)
     runs_per_cell       repetitions per (function, algorithm) cell (default 50)
@@ -23,10 +24,16 @@ experiment_id and base_seed optional):
 
 Config files keep the short parameter spellings used in the literature; each
 optimizer config field declares its spelling and range check, and load_config
-translates to the descriptive field names and reports errors by spelling. Three
-configs ship with the package (experiment1/2/3: all algorithms at population
-100, all at 25, and colony 25 vs baselines 100) along with per-function
-colony presets.
+translates to the descriptive field names. One builder resolves every
+optimizer config from blocks in layers, a later layer winning: for the
+colony the bundled preset (presets/abco/<fn>.json), then the flat abco
+block, then abco.<fn>, then population_overrides.<fn> as size; pso and aco
+are one block each; `swarmopt run` takes the preset (colony only), then
+--param, with --pop-size as size. An error names the key by the block that
+gave it (abco.s, not abco.sphere.s); a field no block set goes by its key.
+Every float must be finite. Three configs ship with the package
+(experiment1/2/3: all algorithms at population 100, all at 25, and colony
+25 vs baselines 100) along with per-function colony presets.
 
 Runs are independent and may execute in parallel; SWARM_OPT_THREADS caps the
 worker count (0 or unset picks the CPU count). Determinism does not depend
@@ -76,12 +83,11 @@ BUNDLED_EXPERIMENTS = ("experiment1", "experiment2", "experiment3")
 
 _CONFIG_CLASSES = {"abco": AbcoConfig, "pso": PsoConfig, "aco": AcorConfig}
 
-# Per config class: every field by name, and config-file key -> field for
-# the fields a config block may set, read off the field declarations.
-_DECLARED = {cls: {f.name: f for f in fields(cls)} for cls in _CONFIG_CLASSES.values()}
+# Per config class: config-file key -> field, for the fields a config block
+# may set, read off the field declarations.
 _FIELDS = {
-    cls: {f.metadata["key"]: f for f in declared.values() if "key" in f.metadata}
-    for cls, declared in _DECLARED.items()
+    cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
+    for cls in _CONFIG_CLASSES.values()
 }
 ABCO_KEYS = {key: f.name for key, f in _FIELDS[AbcoConfig].items()}
 
@@ -99,7 +105,6 @@ class ExperimentConfig:
     abco: dict[str, AbcoConfig]
     pso: PsoConfig
     aco: AcorConfig
-    population_overrides: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -176,37 +181,43 @@ def abco_preset(function_id: str) -> dict:
     return _load_preset(f"abco/{function_id}.json")
 
 
-def _check_block(location: str, name: str, block, cls) -> dict:
-    """Validate one algorithm block's keys and value types."""
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{location}: {name} must be an object")
-    for key, value in block.items():
-        declared = _FIELDS[cls].get(key)
-        if declared is None:
-            raise ConfigurationError(f"{location}: unknown key {name}.{key}")
-        if value is None and declared.default is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"{location}: {name}.{key} expects a number, got {value!r}")
-        if declared.metadata["integer"] and not isinstance(value, int):
-            raise ConfigurationError(
-                f"{location}: {name}.{key} expects an integer, got {value!r}")
-    return dict(block)
+def _preset_layer(function_id: str) -> tuple[str, dict]:
+    return f"presets/abco/{function_id}.json", abco_preset(function_id)
 
 
-def _build(cls, block: dict, location: str, prefix: str, **fixed):
-    """Construct `cls` from a checked block in config spelling plus `fixed`
-    field values. A range error names the key the user wrote."""
-    kwargs = {_FIELDS[cls][key].name: value for key, value in block.items()}
-    kwargs.update(fixed)
-    declared = _DECLARED[cls]
-    values = {name: f.default for name, f in declared.items()} | kwargs
+def _resolve(cls, location: str, layers, **fixed):
+    """Construct `cls` from `layers`, (name, block) pairs in config spelling
+    where a later block wins, plus `fixed` field values.
+
+    Each key is checked where it is given: it must be known, and its value
+    a number, an integer for a count. A range error names a field by the
+    block that set it last (`abco.s`, `abco.sphere.s`); a field that no
+    block set goes by its config key.
+    """
+    values = {f.name: f.default for f in fields(cls)}
+    spelling = {f.name: f.metadata.get("key", f.name) for f in fields(cls)}
+    for name, block in layers:
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"{location}: {name} must be an object")
+        for key, value in block.items():
+            declared = _FIELDS[cls].get(key)
+            if declared is None:
+                raise ConfigurationError(f"{location}: unknown key {name}.{key}")
+            if value is not None or declared.default is not None:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigurationError(
+                        f"{location}: {name}.{key} expects a number, got {value!r}")
+                if declared.metadata["integer"] and not isinstance(value, int):
+                    raise ConfigurationError(
+                        f"{location}: {name}.{key} expects an integer, got {value!r}")
+            values[declared.name] = value
+            spelling[declared.name] = f"{name}.{key}"
+    values.update(fixed)
     try:
-        check_fields(cls, values, lambda name: declared[name].metadata.get("key", name))
+        check_fields(cls, values, spelling.__getitem__)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{location}: {prefix}{exc}") from None
-    return cls(**kwargs)
+        raise ConfigurationError(f"{location}: {exc}") from None
+    return cls(**values)
 
 
 def _positive_int(location: str, key: str, value) -> int:
@@ -266,51 +277,43 @@ def load_config(source) -> ExperimentConfig:
     experiment_id = raw.get("experiment_id")
     if not isinstance(experiment_id, str) or not experiment_id:
         raise ConfigurationError(f"{location}: experiment_id must be a non-empty string")
+    # The id names the output files, so it must not reach another directory.
+    if "/" in experiment_id or "\\" in experiment_id or experiment_id in (".", ".."):
+        raise ConfigurationError(
+            f"{location}: experiment_id must be a plain file name, got {experiment_id!r}")
     base_seed = raw.get("base_seed")
     if isinstance(base_seed, bool) or not isinstance(base_seed, int):
         raise ConfigurationError(f"{location}: base_seed must be an integer")
     iterations = _positive_int(location, "iter", raw.get("iter", 100))
     runs_per_cell = _positive_int(location, "runs_per_cell", raw.get("runs_per_cell", 50))
 
-    functions = _id_list(location, "functions", raw.get("functions"),
-                         set(list_functions()), list_functions())
+    known = set(list_functions())
+    functions = _id_list(location, "functions", raw.get("functions"), known, list_functions())
     algorithms = _id_list(location, "algorithms", raw.get("algorithms"),
                           set(ALGORITHMS), ALGORITHMS)
 
-    overrides_raw = raw.get("population_overrides", {})
-    if not isinstance(overrides_raw, dict):
+    overrides = raw.get("population_overrides", {})
+    if not isinstance(overrides, dict):
         raise ConfigurationError(f"{location}: population_overrides must be an object")
-    overrides = {}
-    for fn, size in overrides_raw.items():
-        if fn not in set(list_functions()):
+    for fn in overrides:
+        if fn not in known:
             raise ConfigurationError(
                 f"{location}: population_overrides names unknown function {fn!r}")
-        overrides[fn] = _positive_int(location, f"population_overrides.{fn}", size)
 
     # The colony block comes in two shapes: flat parameters for every
     # function, or per-function sub-blocks. Both may appear together; the
-    # per-function entries win.
+    # per-function entries win. Blocks for functions that do not run are
+    # checked all the same.
     abco_raw = raw.get("abco", {})
     if not isinstance(abco_raw, dict):
         raise ConfigurationError(f"{location}: abco must be an object")
-    known = set(list_functions())
-    flat = _check_block(location, "abco",
-                        {k: v for k, v in abco_raw.items() if k not in known}, AbcoConfig)
-    per_function = {fn: _check_block(location, f"abco.{fn}", block, AbcoConfig)
-                    for fn, block in abco_raw.items() if fn in known}
-
+    flat = {k: v for k, v in abco_raw.items() if k not in known}
     abco_configs = {}
-    for fn in functions:
-        merged = {**abco_preset(fn), **flat, **per_function.get(fn, {})}
+    for fn in dict.fromkeys([*functions, *(k for k in abco_raw if k in known), *overrides]):
+        layers = [_preset_layer(fn), ("abco", flat), (f"abco.{fn}", abco_raw.get(fn, {}))]
         if fn in overrides:
-            merged["size"] = overrides[fn]
-        prefix = f"abco.{fn}." if fn in per_function else "abco."
-        abco_configs[fn] = _build(AbcoConfig, merged, location, prefix, iterations=iterations)
-
-    pso_block = _check_block(location, "pso", raw.get("pso", {}), PsoConfig)
-    pso_config = _build(PsoConfig, pso_block, location, "pso.", iterations=iterations)
-    aco_block = _check_block(location, "aco", raw.get("aco", {}), AcorConfig)
-    aco_config = _build(AcorConfig, aco_block, location, "aco.", iterations=iterations)
+            layers.append((f"population_overrides.{fn}", {"size": overrides[fn]}))
+        abco_configs[fn] = _resolve(AbcoConfig, location, layers, iterations=iterations)
 
     return ExperimentConfig(
         experiment_id=experiment_id,
@@ -319,10 +322,9 @@ def load_config(source) -> ExperimentConfig:
         runs_per_cell=runs_per_cell,
         functions=functions,
         algorithms=algorithms,
-        abco=abco_configs,
-        pso=pso_config,
-        aco=aco_config,
-        population_overrides=overrides,
+        abco={fn: abco_configs[fn] for fn in functions},
+        pso=_resolve(PsoConfig, location, [("pso", raw.get("pso", {}))], iterations=iterations),
+        aco=_resolve(AcorConfig, location, [("aco", raw.get("aco", {}))], iterations=iterations),
     )
 
 
@@ -537,21 +539,15 @@ def _parse_param(text: str) -> tuple[str, object]:
         return key, value
 
 
-def _single_cell_config(algorithm: str, function: str, args) -> object:
-    """Resolve the optimizer config for the `run` subcommand: bundled
-    preset (colony) or defaults, then --pop-size/--iters/--param."""
-    cls = _CONFIG_CLASSES[algorithm]
-    overrides = dict(_parse_param(p) for p in args.param or [])
+def _run_config(args):
+    """The optimizer config for the `run` subcommand: the bundled preset
+    (colony only), then --param, with --pop-size as size."""
+    params = dict(_parse_param(p) for p in args.param or [])
     if args.pop_size is not None:
-        overrides["size"] = args.pop_size
-    for key in overrides:
-        if key not in _FIELDS[cls]:
-            raise ConfigurationError(
-                f"unknown parameter {key!r} for {algorithm} "
-                f"(valid: {', '.join(sorted(_FIELDS[cls]))})")
-    block = abco_preset(function) if algorithm == "abco" else {}
-    block.update(_check_block("run", algorithm, overrides, cls))
-    return _build(cls, block, "run", f"{algorithm}.", iterations=args.iters)
+        params["size"] = args.pop_size
+    layers = [_preset_layer(args.function)] if args.algorithm == "abco" else []
+    layers.append((args.algorithm, params))
+    return _resolve(_CONFIG_CLASSES[args.algorithm], "run", layers, iterations=args.iters)
 
 
 def _cmd_list(_args) -> int:
@@ -566,7 +562,7 @@ def _cmd_run(args) -> int:
     if args.pop_size is not None:
         _positive_int("run", "--pop-size", args.pop_size)
     spec_of(args.function)
-    cfg = _single_cell_config(args.algorithm, args.function, args)
+    cfg = _run_config(args)
     experiment_id = f"run-{args.algorithm}-{args.function}"
     tasks = [(experiment_id, args.function, args.algorithm, i,
               derive_seed(args.seed, args.function, args.algorithm, i), cfg)

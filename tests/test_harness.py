@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -192,6 +192,14 @@ def test_defaults_fill_missing_optional_keys(tmp_path):
         ({"algorithms": ["abco", "gradient"]}, "gradient"),
         ({"population_overrides": {"nope": 5}}, "nope"),
         ({"population_overrides": {"sphere": 0}}, r"population_overrides\.sphere"),
+        ({"functions": ["booth"], "population_overrides": {"sphere": 0}},
+         r"population_overrides\.sphere"),
+        # the key is named by the block that gave it, not the last block read
+        ({"functions": ["sphere"], "abco": {"s": 0.0, "sphere": {"k": 3}}},
+         r"^bad\.json: abco\.s must be in \(0, 1\], got 0\.0$"),
+        # blocks for functions that do not run are range-checked too
+        ({"functions": ["booth"], "abco": {"sphere": {"s": 5.0, "k": 0}}},
+         r"^bad\.json: abco\.sphere\.s must be in \(0, 1\], got 5\.0$"),
         ({"iter": 0}, "iter"),
         ({"runs_per_cell": "many"}, "runs_per_cell"),
         ({"surprise": 1}, "surprise"),
@@ -217,7 +225,43 @@ def test_the_retired_improvement_threshold_is_an_unknown_key(tmp_path, capsys, b
     assert str(err.value) == f"tiny.json: unknown key {needle}"
     assert cli_main(["run", "--algorithm", "abco", "--function", "booth",
                      "--param", "e=0.05"]) == 1
-    assert "unknown parameter 'e' for abco" in capsys.readouterr().err
+    assert "run: unknown key abco.e" in capsys.readouterr().err
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (AbcoConfig, PsoConfig, AcorConfig)
+                for f in fields(cls) if f.type == "float"]
+
+
+def test_every_float_field_is_listed():
+    assert len(FLOAT_FIELDS) == 10
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_config_fields_must_be_finite(cls, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
+        cls(**{name: value})
+
+
+def test_non_finite_values_are_rejected_from_files_and_params(tmp_path, capsys):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(tiny_config(tmp_path, pso={"c1": math.inf}))
+    assert str(err.value) == "tiny.json: pso.c1 must be finite, got inf"
+    assert cli_main(["run", "--algorithm", "aco", "--function", "booth",
+                     "--param", "intent_factor=Infinity"]) == 1
+    assert capsys.readouterr().err == "error: run: aco.intent_factor must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("experiment_id", ["sub/run", "../x", "sub\\run", ".", ".."])
+def test_experiment_id_must_be_a_plain_file_name(tmp_path, monkeypatch, capsys, experiment_id):
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    path = tiny_config(tmp_path, experiment_id=experiment_id)
+    out_dir = tmp_path / "out"
+    assert cli_main(["experiment", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: tiny.json: experiment_id must be a plain file name, got {experiment_id!r}\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("key", ["functions", "algorithms"])
@@ -672,6 +716,33 @@ def test_cli_run_param_overrides_reach_the_optimizer(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert read_results(out)[0].evaluations > 0
+
+
+@pytest.mark.parametrize("experiment,function,algorithm,pop_size", [
+    ("experiment3", "sphere", "abco", 15),
+    ("experiment3", "booth", "aco", 100),
+    ("experiment2", "ackley", "pso", 25),
+])
+def test_cli_run_reproduces_a_slice_of_an_experiment(
+        tmp_path, monkeypatch, capsys, experiment, function, algorithm, pop_size):
+    monkeypatch.setenv("SWARM_OPT_THREADS", "1")
+    cfg = load_config(experiment)
+    argv = ["run", "--algorithm", algorithm, "--function", function,
+            "--pop-size", str(pop_size), "--iters", str(cfg.iterations),
+            "--runs", "2", "--seed", str(cfg.base_seed)]
+    run_cfg = harness._run_config(harness._build_parser().parse_args(argv))
+    assert run_cfg == harness._cell_config(cfg, function, algorithm)
+
+    out = tmp_path / "cell.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    sliced = run_experiment(replace(cfg, functions=[function], algorithms=[algorithm],
+                                    runs_per_cell=2))
+
+    def comparable(record):
+        return replace(record, experiment_id="", runtime_seconds=0.0)
+
+    assert [comparable(r) for r in read_results(out)] == [comparable(r) for r in sliced]
 
 
 def test_cli_experiment_end_to_end(tmp_path, monkeypatch, capsys):
