@@ -16,10 +16,10 @@ over all its rows, row by row, and in exploit per step as it is taken.
 
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
-Each exploit pass builds the distance matrix once, row s bit-equal to
-k_nearest's distances from member s, and a move refreshes only the
-mover's column (see _distance_matrix). Exploit repairs only steps that
-leave the box, then evaluates the one move.
+Each exploit pass builds the distance matrix once from a (d, n) copy of
+the positions, and a move refreshes its column only in the rows still to
+be ranked (see _distance_matrix). Exploit repairs only steps that leave
+the box, then evaluates the one move.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row. Explore rounds and reproduce's
 replacements are each evaluated in one core.evaluate_rows call.
@@ -40,6 +40,7 @@ from .core import (
     SearchSpace,
     at_least,
     check_fields,
+    euclidean,
     evaluate_rows,
     k_nearest,  # noqa: F401 - perfbench/tracing.py patches abco.k_nearest by name
     minimised,
@@ -68,7 +69,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_ELEMENTS = 1 << 17  # floats in one (rows, n, d) distance block, ~1 MB
+_BLOCK_ELEMENTS = 1 << 17  # floats in one (d, rows, n) distance block, ~1 MB
 
 
 def _round_half_up(value: float) -> int:
@@ -252,20 +253,19 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     return state
 
 
-def _distance_matrix(positions: np.ndarray) -> np.ndarray:
+def _distance_matrix(columns: np.ndarray) -> np.ndarray:
     """The (n, n) matrix whose row s is k_nearest's distances from member s.
 
-    Rows take k_nearest's arithmetic (other minus subject, the same einsum
-    kernel, sqrt), in blocks of about _BLOCK_ELEMENTS differences. Exploit
-    refreshes a mover's column from positions minus its new point: negation
-    is exact, so the column stays bit-equal to what k_nearest would give.
+    `columns` is the (d, n) coordinate-major copy of the positions; rows
+    go through euclidean in (d, rows, n) blocks near _BLOCK_ELEMENTS floats.
+    A move refreshes its column only in later rows, from their unmoved
+    columns (negation is exact). For d <= 2 all summation orders agree.
     """
-    size, dim = positions.shape
+    dim, size = columns.shape
     rows = max(1, _BLOCK_ELEMENTS // (size * dim))
     distances = np.empty((size, size))
-    for start in range(0, size, rows):
-        deltas = positions[None] - positions[start:start + rows, None]
-        np.sqrt(np.einsum("sjd,sjd->sj", deltas, deltas), out=distances[start:start + rows])
+    for block in (slice(start, start + rows) for start in range(0, size, rows)):
+        distances[block] = euclidean(columns[:, None], columns[:, block, None])
     return distances
 
 
@@ -293,7 +293,8 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     best_keys = quality_key(colony.best_values).tolist()
     moves = rolled_back = 0
     for _ in range(cfg.exploit_steps):
-        distances = _distance_matrix(positions)
+        columns = positions.T.copy()
+        distances = _distance_matrix(columns)
         for index in range(size):
             target_index = None
             target_key = best_keys[index]
@@ -312,8 +313,7 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                 rolled_back += 1
                 continue
             positions[index] = moved
-            deltas = positions - moved
-            distances[:, index] = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+            distances[index + 1:, index] = euclidean(columns[:, index + 1:], moved[:, None])
             colony.values[index] = value
             moves += 1
             # A finite value is its own quality key.

@@ -40,6 +40,7 @@ __all__ = [
     "evaluate_rows",
     "quality_key",
     "seed_population",
+    "euclidean",
     "rank_neighbours",
     "k_nearest",
     "repair_bounds",
@@ -261,12 +262,22 @@ def seed_population(
     return positions, evaluate_rows(objective, positions)
 
 
+def euclidean(others, subjects) -> np.ndarray:
+    """Distances between coordinate-major (d, ...) points: squares added in coordinate order."""
+    deltas = others - subjects
+    deltas *= deltas
+    total = deltas[0]
+    for coordinate in range(1, len(deltas)):
+        total += deltas[coordinate]
+    return np.sqrt(total, out=total)
+
+
 def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]:
     """The k nearest other members, nearest first, as (index, distance) pairs.
 
     Returns min(k, size - 1) pairs. Distance ties break toward the lower
     index so downstream stages stay deterministic. `population` is the
-    (size, dim) matrix of member positions.
+    (size, dim) matrix of member positions; distances are euclidean's.
     """
     matrix = np.asarray(population, dtype=float)
     size = matrix.shape[0]
@@ -276,8 +287,7 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
         raise ValueError(f"subject_index {subject_index} out of range for size {size}")
     if k < 1:
         raise ConfigurationError(f"neighbour count must be at least 1, got {k}")
-    deltas = matrix - matrix[subject_index]
-    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+    distances = euclidean(matrix.T, matrix[subject_index, :, None])
     return [(index, distances.item(index))
             for index in rank_neighbours(distances, subject_index, k)]
 

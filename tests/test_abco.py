@@ -407,7 +407,7 @@ def test_distance_matrix_and_ranking_match_k_nearest(dim):
     for size in (2, 3, 25, 400):
         subjects = sorted(edges | {*range(0, size, 5), size - 1}) if size == 400 else range(size)
         for positions in neighbour_layouts(size, dim, rng):
-            distances = abco._distance_matrix(positions)
+            distances = abco._distance_matrix(positions.T)
             for subject in subjects:
                 everyone = k_nearest(positions, subject, size - 1)
                 row = np.zeros(size)
@@ -416,6 +416,67 @@ def test_distance_matrix_and_ranking_match_k_nearest(dim):
                 for k in (1, 2, size):
                     assert rank_neighbours(distances[subject], subject, k) == [
                         index for index, _ in k_nearest(positions, subject, k)]
+
+
+def reference_distances(positions, subject):
+    """Distances from member `subject` to every member, on Python floats:
+    the squared coordinate differences added in coordinate order, then
+    math.sqrt."""
+    points = positions.tolist()
+    p = points[subject]
+    distances = []
+    for q in points:
+        s = 0.0
+        for c in range(len(p)):
+            s += (q[c] - p[c]) * (q[c] - p[c])
+        distances.append(math.sqrt(s))
+    return np.array(distances)
+
+
+def einsum_distances(positions, subject):
+    deltas = positions - positions[subject]
+    return np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_distances_add_squares_in_coordinate_order(dim, monkeypatch):
+    # Checked bit for bit: k_nearest's distances, every row of the pass
+    # matrix, and every row exploit ranks by, refreshed columns included.
+    # For d <= 2 one addition of two rounded squares gives the same bits
+    # in any order, so einsum's kernel agrees there too.
+    def expected(positions, subject):
+        reference = reference_distances(positions, subject)
+        if dim <= 2:
+            assert einsum_distances(positions, subject).tobytes() == reference.tobytes()
+        return reference.tobytes()
+
+    rng = np.random.default_rng(100 + dim)
+    size = 25
+    ranked = []
+
+    def recording(row, subject, k):
+        ranked.append((subject, row.copy(), colony.positions.copy()))
+        return rank_neighbours(row, subject, k)
+
+    monkeypatch.setattr(abco, "rank_neighbours", recording)
+    cfg = AbcoConfig(size=size, neighbor_count=3, exploit_steps=2, step_size=0.5)
+    space = SearchSpace(dim, -5.0, 5.0)
+    for positions in neighbour_layouts(size, dim, rng):
+        matrix = abco._distance_matrix(positions.T.copy())
+        for subject in range(size):
+            assert matrix[subject].tobytes() == expected(positions, subject)
+            row = np.zeros(size)
+            for index, distance in k_nearest(positions, subject, size - 1):
+                row[index] = distance
+            assert row.tobytes() == expected(positions, subject)
+        colony = Colony.fresh(positions.copy(), np.array([sphere(p) for p in positions]))
+        state = fresh_state(colony)
+        ranked.clear()
+        exploit_stage(state, cfg, sphere, space, RngStream(dim))
+        assert len(ranked) == cfg.exploit_steps * size
+        assert state.diagnostics["exploit_moves"] > 0
+        for subject, row, at in ranked:
+            assert row.tobytes() == expected(at, subject)
 
 
 # --- reproduce -------------------------------------------------------------
