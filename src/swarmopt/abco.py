@@ -18,8 +18,9 @@ numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
 Each exploit pass builds the distance matrix once from a (d, n) copy of
 the positions, and a move refreshes its column only in the rows still to
-be ranked (see _distance_matrix). Exploit repairs only steps that leave
-the box, then evaluates the one move.
+be ranked (see _distance_matrix). A move stays a list of Python floats up
+to the row writes; only one that leaves the box is repaired, then it is
+evaluated.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row. Explore rounds and reproduce's
 replacements are each evaluated in one core.evaluate_rows call.
@@ -207,21 +208,21 @@ def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
     return repair_bounds(moved, space, rng)
 
 
-def move_toward(current, target, step_size: float) -> np.ndarray:
+def move_toward(current, target, step_size: float) -> list[float]:
     """Step from current toward target by at most step_size, never past it.
 
-    Returns target itself once it is within reach, and current when the two
-    coincide.
+    Returns a list of floats: target once within reach, else per coordinate
+    `c + step_size / distance * o`, as numpy's `current + (step_size / distance) * offset`.
     """
     current = np.asarray(current, dtype=float)
     target = np.asarray(target, dtype=float)
     if current.shape != target.shape:
         raise ValueError(f"vector length mismatch: {current.shape} vs {target.shape}")
     offset = target - current
-    distance = math.sqrt(offset @ offset)
+    distance = math.sqrt(offset.dot(offset))
     if distance <= step_size:
-        return target.copy()
-    return current + (step_size / distance) * offset
+        return target.tolist()
+    return [c + step_size / distance * o for c, o in zip(current.tolist(), offset.tolist())]
 
 
 def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
@@ -286,7 +287,6 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     if size < 2:
         _tally(state.diagnostics, exploit_skipped=1)
         return state
-    k = min(cfg.neighbor_count, size - 1)
     step_size = cfg.step_size
     lower, upper = space.lower, space.upper
     positions, best_positions = colony.positions, colony.best_positions
@@ -298,22 +298,23 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
         for index in range(size):
             target_index = None
             target_key = best_keys[index]
-            for neighbour_index in rank_neighbours(distances[index], index, k):
+            for neighbour_index in rank_neighbours(distances[index], index, cfg.neighbor_count):
                 if best_keys[neighbour_index] < target_key:
                     target_index = neighbour_index
                     target_key = best_keys[neighbour_index]
             if target_index is None:
                 continue
             moved = move_toward(positions[index], best_positions[target_index], step_size)
-            if not all(lower <= x <= upper for x in moved.tolist()):
-                moved = repair_bounds(moved, space, rng)
+            if not all(lower <= x <= upper for x in moved):
+                moved = repair_bounds(moved, space, rng).tolist()
             value = float(objective(moved))
             state.evaluations += 1
             if not math.isfinite(value):
                 rolled_back += 1
                 continue
             positions[index] = moved
-            distances[index + 1:, index] = euclidean(columns[:, index + 1:], moved[:, None])
+            distances[index + 1:, index] = euclidean(columns[:, index + 1:],
+                                                     positions[index, :, None])
             colony.values[index] = value
             moves += 1
             # A finite value is its own quality key.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import OptimizationMode, SearchSpace, UnknownFunctionError
 
 __all__ = ["ObjectiveSpec", "evaluate", "spec_of", "list_functions"]
 
-Evaluator = Callable[[np.ndarray], float]
+Evaluator = Callable[[Sequence[float]], float]
 
 # The operations a formula may call besides + - * / and abs.
 _FLOATS = SimpleNamespace(sin=math.sin, cos=math.cos, sqrt=math.sqrt, exp=math.exp,
@@ -61,20 +61,22 @@ def _objective(least: int, most: float = math.inf):
     def decorate(formula) -> Evaluator:
         name = formula.__name__
 
-        def check(count: int):
-            if not least <= count <= most:
-                raise ValueError(f"{name} takes {wanted} coordinates, got {count}")
+        def miscounted(count: int) -> ValueError:
+            return ValueError(f"{name} takes {wanted} coordinates, got {count}")
 
         def evaluator(point) -> float:
-            coordinates = np.asarray(point, dtype=float).tolist()
-            check(len(coordinates))
-            return formula(coordinates, _FLOATS)
+            coordinates = (list(map(float, point)) if type(point) is list
+                           else np.asarray(point, dtype=float).tolist())
+            if least <= len(coordinates) <= most:
+                return formula(coordinates, _FLOATS)
+            raise miscounted(len(coordinates))
 
         def batch(rows) -> np.ndarray:
             rows = np.asarray(rows, dtype=float)
             if rows.ndim != 2:
                 raise ValueError(f"{name} takes an (m, d) batch, got shape {rows.shape}")
-            check(rows.shape[1])
+            if not least <= rows.shape[1] <= most:
+                raise miscounted(rows.shape[1])
             return formula(list(rows.T.copy()), _COLUMNS)
 
         evaluator.__name__, evaluator.__doc__ = name, formula.__doc__

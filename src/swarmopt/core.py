@@ -12,7 +12,8 @@ through evaluate_rows, which takes an evaluator's column form when it
 carries one; evaluation draws nothing, so either path leaves the streams
 alike. Every batch of points they repair goes through one repair_bounds
 call, which draws all of its resampled coordinates at once in the order
-one scalar draw per coordinate, row by row, would take them.
+one scalar draw per coordinate, row by row, would take them. Neighbours
+rank in (distance, index) order, nan last (rank_neighbours).
 """
 
 from __future__ import annotations
@@ -289,21 +290,33 @@ def k_nearest(population, subject_index: int, k: int) -> list[tuple[int, float]]
         raise ConfigurationError(f"neighbour count must be at least 1, got {k}")
     distances = euclidean(matrix.T, matrix[subject_index, :, None])
     return [(index, distances.item(index))
-            for index in rank_neighbours(distances, subject_index, k)]
+            for index in rank_neighbours(distances.copy(), subject_index, k)]
+
+
+# Masked argmins rank a 100-row faster than a stable sort up to this k (timeit: 1.3, 1.7 us
+# at k = 1, 2 against 1.9; 2.2 against 2.0 at k = 5); sphere's k = 15 ran 1.09-1.15x slower.
+_ARGMIN_RANKS = 2
 
 
 def rank_neighbours(distances: np.ndarray, subject_index: int, k: int) -> list[int]:
-    """k_nearest's indices, ranked from the subject's (size,) row of distances.
-
-    A stable sort keeps equal distances in index order. Ties or a nan entry
-    can put the subject past the first k + 1; then the last of them goes.
-    """
-    nearest = distances.argsort(kind="stable")[: k + 1].tolist()
-    if subject_index in nearest:
-        nearest.remove(subject_index)
-    else:
-        nearest.pop()
-    return nearest
+    """k_nearest's indices: the first min(k, size - 1) other members of the
+    subject's (size,) row in (distance, index) order, nan last. Consumes the
+    row: up to _ARGMIN_RANKS picks are argmins masked with +inf, as is the
+    subject; a larger k, or a nan or +inf pick, leaves the rest to a stable sort."""
+    k, nearest = min(k, len(distances) - 1), []
+    if k <= _ARGMIN_RANKS:
+        distances[subject_index] = math.inf
+        for _ in range(k):
+            index = int(distances.argmin())
+            if not distances[index] < math.inf:
+                break
+            nearest.append(index)
+            distances[index] = math.inf
+        else:
+            return nearest
+    ranked = [index for index in distances.argsort(kind="stable")[: k + 1].tolist()
+              if index != subject_index and index not in nearest]
+    return nearest + ranked[: k - len(nearest)]
 
 
 def repair_bounds(points, space: SearchSpace, rng: RngStream) -> np.ndarray:

@@ -125,6 +125,42 @@ def test_move_toward_identity():
     assert np.array_equal(move_toward((2.0, 2.0), (2.0, 2.0), 1.0), (2.0, 2.0))
 
 
+def test_move_toward_is_numpys_step_bit_for_bit():
+    # The reference is the array form: target within reach, else
+    # current + (step / d) * offset with d from offset @ offset.
+    rng = np.random.default_rng(41)
+    branches = {True: 0, False: 0}
+    for dim in range(1, 11):
+        for case in range(400):
+            current = rng.uniform(-5.0, 5.0, dim)
+            scale = 10.0 ** rng.uniform(-3.0, 1.0)
+            target = current + scale * rng.uniform(-1.0, 1.0, dim)
+            if case == 0:
+                target = current.copy()
+            offset = target - current
+            distance = math.sqrt(offset @ offset)
+            step = distance if case == 1 else float(rng.uniform(0.01, 3.0))
+            reaches = distance <= step
+            expected = target if reaches else current + (step / distance) * offset
+            moved = move_toward(current, target, step)
+            assert type(moved) is list and all(type(x) is float for x in moved)
+            assert np.array(moved).tobytes() == expected.tobytes(), (dim, case)
+            branches[reaches] += 1
+    assert min(branches.values()) > 500
+
+
+def test_dot_norm_equals_matmul_norm():
+    # move_toward's offset.dot(offset) is the BLAS call that offset @ offset
+    # makes, so the norms agree bit for bit under the running kernel.
+    rng = np.random.default_rng(43)
+    for dim in range(1, 11):
+        scales = 10.0 ** rng.uniform(-4.0, 2.0, (5000, 1))
+        offsets = scales * rng.uniform(-1.0, 1.0, (5000, dim))
+        dots = np.array([offset.dot(offset) for offset in offsets])
+        matmuls = np.array([offset @ offset for offset in offsets])
+        assert dots.tobytes() == matmuls.tobytes(), dim
+
+
 def test_move_toward_never_passes_target():
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -414,7 +450,7 @@ def test_distance_matrix_and_ranking_match_k_nearest(dim):
                 row[[index for index, _ in everyone]] = [d for _, d in everyone]
                 assert np.array_equal(distances[subject], row), (size, subject)
                 for k in (1, 2, size):
-                    assert rank_neighbours(distances[subject], subject, k) == [
+                    assert rank_neighbours(distances[subject].copy(), subject, k) == [
                         index for index, _ in k_nearest(positions, subject, k)]
 
 

@@ -127,6 +127,36 @@ def test_column_form_equals_scalar_form_bit_for_bit(name, dim):
                                   scalars[differ[:3]])
 
 
+def miscount_message(evaluator, point):
+    with pytest.raises(ValueError) as raised:
+        evaluator(point)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("name", list_functions())
+def test_scalar_evaluator_reads_lists_tuples_and_arrays_alike(name):
+    evaluator = spec_of(name).evaluator
+    dims = [dim for case, dim in COLUMN_CASES if case == name]
+    for dim in dims:
+        for row in probe_rows(name, dim, 300):
+            value = np.float64(evaluator(row)).tobytes()
+            for point in (row.tolist(), tuple(row.tolist())):
+                assert np.float64(evaluator(point)).tobytes() == value, point
+    # Integer coordinates are read as floats on every path: from 2**53 + 1
+    # up, integer arithmetic would round differently.
+    integers = [2 ** 53 + 1, -3, 5][: dims[0]]
+    outcomes = [outcome(evaluator, point) for point in (integers, tuple(integers),
+                                                        np.array(integers, dtype=float))]
+    keys = [o.tobytes() if isinstance(o, np.ndarray) else o for o in outcomes]
+    assert keys[0] == keys[1] == keys[2], outcomes
+    for count in {0, 1, 2, 3} - set(dims):
+        row = np.linspace(-1.0, 1.0, count)
+        message = miscount_message(evaluator, row)
+        assert message.startswith(f"{name} takes ") and message.endswith(f"got {count}")
+        assert miscount_message(evaluator, row.tolist()) == message
+        assert miscount_message(evaluator, tuple(row.tolist())) == message
+
+
 # Squares of 1e-160 are subnormal; squares from 1e150 up take the element
 # loop, and those of 1e155 overflow; 1e4 overflows holders_table's exp.
 # math.sin and math.cos raise ValueError at ±inf where np.sin and np.cos

@@ -19,6 +19,7 @@ from swarmopt.core import (
     k_nearest,
     minimised,
     quality_key,
+    rank_neighbours,
     repair_bounds,
     seed_population,
 )
@@ -207,6 +208,52 @@ def test_k_nearest_orders_duplicates_and_nan_rows_like_brute_force():
             assert [i for i, _ in got] == _brute_force_order(positions, subject)[:k]
     # Row 0 duplicates subject 3 from a lower index, so it comes first at distance 0.
     assert k_nearest(positions, 3, 1) == [(0, 0.0)]
+
+
+def stable_sort_ranking(row, subject, k):
+    """The stable-sort rule: argsort, keep the first k + 1, then drop the
+    subject or else the last."""
+    nearest = np.argsort(row, kind="stable")[: k + 1].tolist()
+    if subject in nearest:
+        nearest.remove(subject)
+    else:
+        nearest.pop()
+    return nearest
+
+
+def ranking_rows():
+    """(row, subject) pairs: duplicates at distance 0 below and above the
+    subject, all-equal rows, rows with a few distinct values, and rows
+    holding nan or +inf, the subject's own entry included."""
+    nan, inf = math.nan, math.inf
+    yield [0.0, 0.0, 0.0, 0.0, 0.0], 2
+    yield [0.0, 1.5, 0.0, 0.0, 2.5, 0.0, 1.5], 3
+    yield [0.0, 1.5, 0.0, 0.0, 2.5, 0.0, 1.5], 0
+    yield [2.0, 0.0, 1.0, 0.0, 0.0, 1.0], 4
+    yield [nan, 0.0, 1.0], 1
+    yield [1.0, 0.0, nan, 0.5], 1
+    yield [1.0, nan, 0.0, 0.5], 1
+    yield [inf, 0.0, inf, inf], 1
+    yield [1.0, 0.0, inf, inf], 1
+    yield [inf, nan, 0.0, 3.0, nan], 2
+    draw = np.random.default_rng(23)
+    for size in (*range(1, 10), 100):
+        for value in (0.0, 1.25, nan, inf):
+            yield [value] * size, int(draw.integers(size))
+        for _ in range(60):
+            values = draw.choice([0.0, 0.5, 1.0, 2.0, nan, inf], size=size,
+                                 p=[0.3, 0.2, 0.2, 0.2, 0.05, 0.05])
+            yield values.tolist(), int(draw.integers(size))
+            yield draw.uniform(0.0, 5.0, size).tolist(), int(draw.integers(size))
+
+
+def test_rank_neighbours_argmin_path_equals_the_stable_sort():
+    for values, subject in ranking_rows():
+        size = len(values)
+        for k in sorted({1, 2, 3, max(1, size - 1), size, size + 3}):
+            row = np.array(values)
+            assert rank_neighbours(row, subject, k) == stable_sort_ranking(
+                np.array(values), subject, k), (values, subject, k)
 
 
 def test_k_nearest_clamps_and_rejects():
