@@ -11,8 +11,8 @@ Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
 lone survivor forces fresh reseeding. Repairs draw from the stream's
-repair generator: after each explore round in one repair_bounds call
-over all its rows, row by row, and in exploit per step as it is taken.
+repair generator, row by row: for an explore round in one repair_bounds
+call, which draws only if the round left the box; in exploit per step.
 
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
@@ -22,8 +22,9 @@ be ranked (see _distance_matrix). A move stays a list of Python floats up
 to the row writes; only one that leaves the box is repaired, then it is
 evaluated.
 Reproduce builds its replacements in k matrix steps with the same
-per-element arithmetic as row by row. Explore rounds and reproduce's
-replacements are each evaluated in one core.evaluate_rows call.
+per-element arithmetic as row by row, and evaluates them in one
+core.evaluate_rows call; so does explore with all of a stage's rounds
+when the evaluator has a column form and every value is finite.
 """
 
 from __future__ import annotations
@@ -187,25 +188,21 @@ def tumble_step(
     return repair_bounds(moved, space, rng)
 
 
-def _tumble_round(positions, cfg: AbcoConfig, space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Where every row of `positions` lands after one tumble round.
-
-    One batch of directions; an all-zero row is redrawn after the batch,
-    in row order. The round then goes through one repair_bounds call,
-    which draws what tumble_step's repair per row would. Per row the
-    arithmetic is tumble_step's.
-    """
-    size, dim = positions.shape
-    directions = rng.standard_normal((size, dim))
+def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.ndarray:
+    """An explore stage's (rounds, size, dim) tumble displacements, tumble_step's per row:
+    per round one (size, dim) batch of directions, then each all-zero row redrawn in order."""
+    directions = np.empty((cfg.explore_steps * cfg.tumble_steps, size, dim))
+    for batch in directions:
+        batch[...] = rng.standard_normal((size, dim))
+        if not (batch * batch).all():  # with no zero square, no squared norm is zero
+            squared = (batch[:, None, :] @ batch[:, :, None]).ravel()
+            for row in np.flatnonzero(squared == 0.0):
+                while squared[row] == 0.0:
+                    batch[row] = rng.standard_normal(dim)
+                    squared[row] = batch[row] @ batch[row]
     # Stacked matmul gives the same squared norm as direction @ direction.
-    squared = (directions[:, None, :] @ directions[:, :, None]).ravel()
-    if not squared.all():
-        for row in np.flatnonzero(squared == 0.0):
-            while squared[row] == 0.0:
-                directions[row] = rng.standard_normal(dim)
-                squared[row] = directions[row] @ directions[row]
-    moved = positions + (cfg.step_size / np.sqrt(squared))[:, None] * directions
-    return repair_bounds(moved, space, rng)
+    squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
+    return (cfg.step_size / np.sqrt(squares))[..., None] * directions
 
 
 def move_toward(current, target, step_size: float) -> list[float]:
@@ -232,24 +229,50 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     strictly below the personal best's quality key as the new personal
     best, so a non-finite personal best yields to any finite value. A
     non-finite evaluation rolls the member back to where the round started.
+    Every round's steps are drawn first. A column form evaluates all
+    rounds, chained as if none rolled back, in one call; unless a value is
+    non-finite or it raises, that is the outcome. Otherwise the repair
+    generator is rewound and the rounds run one evaluate_rows call each.
     """
     colony = state.population
+    steps = _tumble_steps(cfg, len(colony), space.dim, rng)
+    if getattr(objective, "batch", None) is not None:
+        saved = rng.repairs.bit_generator.state
+        landings, position = np.empty_like(steps), colony.positions
+        for landing, step in zip(landings, steps):
+            position = np.add(position, step, out=landing)
+            if not (space.lower <= position.min() and position.max() <= space.upper):
+                landing[...] = repair_bounds(position, space, rng)
+        try:
+            values = evaluate_rows(objective, landings.reshape(-1, space.dim))
+        except Exception:  # raised again below if the rounds reach its row
+            values = None
+        if values is not None and np.isfinite(values).all():
+            values = values.reshape(len(steps), -1)
+            # Each member's first minimum over the rounds, as strict < round by round.
+            first, members = values.argmin(axis=0), np.arange(len(colony))
+            improved = values[first, members] < quality_key(colony.best_values)
+            colony.positions[...], colony.values[...] = landings[-1], values[-1]
+            colony.best_positions[improved] = landings[first, members][improved]
+            colony.best_values[improved] = values[first, members][improved]
+            state.evaluations += values.size
+            return state
+        rng.repairs.bit_generator.state = saved
     best_keys = quality_key(colony.best_values)
     rolled_back = 0
-    for _ in range(cfg.explore_steps):
-        for _ in range(cfg.tumble_steps):
-            moved = _tumble_round(colony.positions, cfg, space, rng)
-            values = evaluate_rows(objective, moved)
-            state.evaluations += len(values)
-            # Only finite rows move, and a finite value is its own key.
-            finite = np.isfinite(values)
-            improved = finite & (values < best_keys)
-            rolled_back += len(values) - int(np.count_nonzero(finite))
-            np.copyto(colony.positions, moved, where=finite[:, None])
-            np.copyto(colony.values, values, where=finite)
-            np.copyto(colony.best_positions, moved, where=improved[:, None])
-            np.copyto(colony.best_values, values, where=improved)
-            np.copyto(best_keys, values, where=improved)
+    for step in steps:
+        moved = repair_bounds(colony.positions + step, space, rng)
+        values = evaluate_rows(objective, moved)
+        state.evaluations += len(values)
+        # Only finite rows move, and a finite value is its own key.
+        finite = np.isfinite(values)
+        improved = finite & (values < best_keys)
+        rolled_back += len(values) - int(np.count_nonzero(finite))
+        np.copyto(colony.positions, moved, where=finite[:, None])
+        np.copyto(colony.values, values, where=finite)
+        np.copyto(colony.best_positions, moved, where=improved[:, None])
+        np.copyto(colony.best_values, values, where=improved)
+        np.copyto(best_keys, values, where=improved)
     _tally(state.diagnostics, rolled_back_moves=rolled_back)
     return state
 

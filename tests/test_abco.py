@@ -28,6 +28,7 @@ from swarmopt.core import (
     SearchSpace,
     derive_seed,
     k_nearest,
+    minimised,
     quality_key,
     rank_neighbours,
     repair_bounds,
@@ -243,6 +244,16 @@ def one_tumble_step_per_member(positions, cfg, space, rng):
     return np.array([tumble_step(position, cfg, space, rng) for position in positions])
 
 
+def with_column_form(evaluator):
+    """`evaluator` carrying a column form built from its row calls, so
+    explore_stage takes its run-ahead path."""
+    def point_form(point):
+        return evaluator(point)
+
+    point_form.batch = lambda rows: np.array([float(evaluator(row)) for row in rows])
+    return point_form
+
+
 def snapshot(state, rng):
     colony = state.population
     return (
@@ -258,9 +269,11 @@ def snapshot(state, rng):
 
 def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
     # step_size reaches 1.5 box widths, so many tumbles leave the box and
-    # are repaired; a nan region adds rollbacks. Only the batched run
-    # counts the rows it repairs.
-    repairs, tumbles = [], 0
+    # are repaired; a nan region adds rollbacks, which send the run-ahead
+    # path back to the round-by-round one. Each case runs with the plain
+    # evaluator and with a column form. Only the plain run counts the rows
+    # it repairs.
+    repairs, tumbles, fallbacks = [], 0, 0
     counted = counting_repairs(repairs)
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(4_400 + case)
@@ -269,21 +282,129 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
         def holed(p, f=evaluator):
             return float("nan") if case % 3 == 0 and p[0] > cut else f(p)
 
-        def explore():
+        def explore(stage, objective):
             rng = RngStream(case)
             state = fresh_state(seeded(space, cfg.size, holed, rng))
-            explore_stage(state, cfg, holed, space, rng)
+            stage(state, cfg, objective, space, rng)
             return snapshot(state, rng)
 
+        reference = explore(reference_explore, holed)
         with monkeypatch.context() as patch:
             patch.setattr(abco, "repair_bounds", counted)
-            batched = explore()
-        with monkeypatch.context() as patch:
-            patch.setattr(abco, "_tumble_round", one_tumble_step_per_member)
-            reference = explore()
-        assert batched == reference, case
+            assert explore(explore_stage, holed) == reference, case
+        assert explore(explore_stage, with_column_form(holed)) == reference, case
+        fallbacks += "rolled_back_moves" in reference[4]
         tumbles += cfg.size * cfg.explore_steps * cfg.tumble_steps
     assert 0 < sum(repairs) < tumbles
+    assert 10 < fallbacks < 50
+
+
+SUM_FORMS = ("rastrigin", "sphere", "rosenbrock")
+
+
+def test_explore_evaluates_an_all_finite_stage_in_one_column_call(monkeypatch):
+    # The sum forms at every dimension they take up to 6 and the rest at 2,
+    # in both modes, with steps from 1e-4 to 1.6 box widths so that some
+    # rounds leave the box and some do not. The round-by-round path is the
+    # same evaluator without its column form.
+    repairs, repaired, rounds = [], 0, 0
+    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    cases = [(name, dim) for name in SUM_FORMS for dim in range(1 + (name == "rosenbrock"), 7)]
+    cases += [(name, 2) for name in list_functions() if name not in SUM_FORMS]
+    for case, (name, dim) in enumerate(cases):
+        draw = np.random.default_rng(7_700 + case)
+        spec = spec_of(name)
+        space = SearchSpace(dim, spec.space.lower, spec.space.upper)
+        mode = OptimizationMode.MAX if case % 2 else OptimizationMode.MIN
+        evaluator = minimised(replace(spec, space=space, mode=mode))[0]
+        cfg = AbcoConfig(size=int(draw.integers(1, 30)),
+                         step_size=10 ** draw.uniform(-4, 0.2) * (space.upper - space.lower),
+                         explore_steps=int(draw.integers(1, 5)),
+                         tumble_steps=int(draw.integers(1, 4)))
+        calls = []
+
+        def point_form(point, f=evaluator):
+            return f(point)
+
+        def column_form(point, f=evaluator):
+            return f(point)
+
+        column_form.batch = lambda rows, f=evaluator: calls.append(len(rows)) or f.batch(rows)
+
+        def explore(objective, stages=3):
+            rng = RngStream(case)
+            state = fresh_state(seeded(space, cfg.size, evaluator, rng))
+            for stage in range(stages):
+                explore_stage(state, cfg, objective, space, rng)
+                if objective is column_form:
+                    assert len(calls) == stage + 1, (name, dim)
+            return snapshot(state, rng)
+
+        expected = explore(point_form)
+        repairs.clear()
+        assert explore(column_form) == expected, (name, dim)
+        assert calls == [cfg.size * cfg.explore_steps * cfg.tumble_steps] * 3
+        assert "rolled_back_moves" not in expected[4]
+        # The run-ahead path repairs only rounds that left the box.
+        assert all(repairs), (name, dim)
+        repaired += len(repairs)
+        rounds += len(calls) * cfg.explore_steps * cfg.tumble_steps
+    assert 0.1 * rounds < repaired < 0.9 * rounds
+
+
+def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do():
+    # nan at a third of the members' round-1 landings rolls those members
+    # back, so the run-ahead chain tumbles on from points the round-by-round
+    # path never leaves from. The column form raises OverflowError at just
+    # the rows only the chain reaches: the stage must not raise and must end
+    # as the round-by-round path does.
+    space = SearchSpace(3, -2.0, 2.0)
+    cfg = AbcoConfig(size=12, step_size=1.5, explore_steps=2, tumble_steps=2)
+
+    def key(point):
+        return np.asarray(point, dtype=float).tobytes()
+
+    def explore(objective):
+        rng = RngStream(31)
+        state = fresh_state(seeded(space, cfg.size, sphere, rng))
+        try:
+            explore_stage(state, cfg, objective, space, rng)
+        finally:
+            outcome.append(snapshot(state, rng))
+
+    outcome, chain, seen = [], [], []
+    explore(with_column_form(lambda p: chain.append(key(p)) or sphere(p)))
+    holes = set(chain[: cfg.size : 3])
+
+    def holed(p):
+        return math.nan if key(p) in holes else sphere(p)
+
+    explore(lambda p: seen.append(key(p)) or holed(p))
+    expected = outcome[-1]
+    only_ahead = set(chain) - set(seen)
+    assert len(chain) == 4 * cfg.size and len(seen) == len(chain)
+    assert expected[4] == {"rolled_back_moves": 4} and only_ahead
+
+    def trapped(p):
+        if key(p) in only_ahead:
+            raise OverflowError("a row only the run-ahead chain reaches")
+        return holed(p)
+
+    explore(with_column_form(trapped))
+    assert outcome[-1] == expected
+    # A row the round-by-round path reaches raises on both paths, which
+    # stop in the same state; with no nan the run-ahead call itself raises.
+    for base, last in ((holed, seen[-1]), (sphere, chain[-1])):
+        def failing(p, base=base, last=last):
+            if key(p) == last:
+                raise OverflowError("a row every path reaches")
+            return base(p)
+
+        for objective in (failing, with_column_form(failing)):
+            with pytest.raises(OverflowError, match="every path"):
+                explore(objective)
+        assert outcome[-1] == outcome[-2]
+        assert outcome[-1][3] == 3 * cfg.size
 
 
 def test_explore_round_repairs_row_major_on_the_repair_stream():
@@ -590,7 +711,7 @@ def reference_explore(state, cfg, objective, space, rng):
     colony = state.population
     for _ in range(cfg.explore_steps):
         for _ in range(cfg.tumble_steps):
-            rows = abco._tumble_round(colony.positions, cfg, space, rng)
+            rows = one_tumble_step_per_member(colony.positions, cfg, space, rng)
             for index, moved in enumerate(rows):
                 value = float(objective(moved))
                 state.evaluations += 1
@@ -695,17 +816,20 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
                 return float("nan")
             return math.floor(2.0 * f(p)) / 2.0 if case % 3 == 1 else f(p)
 
-        def run(step):
+        def run(step, objective):
             rng = RngStream(case)
             state = fresh_state(seeded(start_space, cfg.size, holed, rng))
             explore_stage(state, cfg, holed, start_space, rng)
             repairs.clear()
-            step(state, cfg, holed, space, rng)
+            step(state, cfg, objective, space, rng)
             return snapshot(state, rng)
 
-        staged = run(stage)
-        stage_repairs += sum(repairs)
-        assert staged == run(reference), case
+        expected = run(reference, holed)
+        # With a column form explore runs its rounds ahead, or falls back
+        # to them one by one after a nan.
+        for objective in (holed, with_column_form(holed)):
+            assert run(stage, objective) == expected, case
+            stage_repairs += sum(repairs)
     if stage is exploit_stage:
         assert stage_repairs > 0
 
