@@ -17,14 +17,13 @@ call, which draws only if the round left the box; in exploit per step.
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
 Each exploit pass builds the distance matrix once from a (d, n) copy of
-the positions, and a move refreshes its column only in the rows still to
-be ranked (see _distance_matrix). A move stays a list of Python floats up
-to the row writes; only one that leaves the box is repaired, then it is
-evaluated.
+the positions; moved columns reach the rows still to be ranked in blocks
+(see _distance_matrix). A move stays a list of Python floats up to the
+row writes; only one that leaves the box is repaired, then it is evaluated.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row, and evaluates them in one
 core.evaluate_rows call; so does explore with all of a stage's rounds
-when the evaluator has a column form and every value is finite.
+when the evaluator has a column form, up to the first non-finite value.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _BLOCK_ELEMENTS = 1 << 17  # floats in one (d, rows, n) distance block, ~1 MB
+_FLUSH_PERIOD = 8  # members per block write in exploit; 4 tied it, 16 was 2-9% slower
 
 
 def _round_half_up(value: float) -> int:
@@ -211,10 +211,14 @@ def move_toward(current, target, step_size: float) -> list[float]:
     Returns a list of floats: target once within reach, else per coordinate
     `c + step_size / distance * o`, as numpy's `current + (step_size / distance) * offset`.
     """
-    current = np.asarray(current, dtype=float)
-    target = np.asarray(target, dtype=float)
+    current, target = np.asarray(current, dtype=float), np.asarray(target, dtype=float)
     if current.shape != target.shape:
         raise ValueError(f"vector length mismatch: {current.shape} vs {target.shape}")
+    return _step_toward(current, target, step_size)
+
+
+def _step_toward(current: np.ndarray, target: np.ndarray, step_size: float) -> list[float]:
+    """move_toward on two (d,) float64 arrays, unconverted and unchecked, as exploit calls it."""
     offset = target - current
     distance = math.sqrt(offset.dot(offset))
     if distance <= step_size:
@@ -230,12 +234,13 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     best, so a non-finite personal best yields to any finite value. A
     non-finite evaluation rolls the member back to where the round started.
     Every round's steps are drawn first. A column form evaluates all
-    rounds, chained as if none rolled back, in one call; unless a value is
-    non-finite or it raises, that is the outcome. Otherwise the repair
-    generator is rewound and the rounds run one evaluate_rows call each.
+    rounds, chained as if none rolled back, in one call, exact up to the
+    first round that holds a non-finite value. The rounds up to it commit
+    from that call; later rounds, or all after a raise, run one call each.
     """
     colony = state.population
     steps = _tumble_steps(cfg, len(colony), space.dim, rng)
+    start, ahead = 0, None  # the first round to commit one by one, and its rows if evaluated
     if getattr(objective, "batch", None) is not None:
         saved = rng.repairs.bit_generator.state
         landings, position = np.empty_like(steps), colony.positions
@@ -246,23 +251,33 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
         try:
             values = evaluate_rows(objective, landings.reshape(-1, space.dim))
         except Exception:  # raised again below if the rounds reach its row
-            values = None
-        if values is not None and np.isfinite(values).all():
-            values = values.reshape(len(steps), -1)
-            # Each member's first minimum over the rounds, as strict < round by round.
-            first, members = values.argmin(axis=0), np.arange(len(colony))
-            improved = values[first, members] < quality_key(colony.best_values)
-            colony.positions[...], colony.values[...] = landings[-1], values[-1]
-            colony.best_positions[improved] = landings[first, members][improved]
-            colony.best_values[improved] = values[first, members][improved]
-            state.evaluations += values.size
-            return state
-        rng.repairs.bit_generator.state = saved
+            rng.repairs.bit_generator.state = saved
+        else:
+            values, start = values.reshape(len(steps), -1), len(steps)
+            if not np.isfinite(values).all():
+                start = int(np.isfinite(values).all(axis=1).argmin())
+                rng.repairs.bit_generator.state = saved  # the same points redraw the same
+                for before, step in zip([colony.positions, *landings[:start]], steps[:start + 1]):
+                    repair_bounds(before + step, space, rng)
+                ahead, values = (landings[start], values[start]), values[:start]
+            if start:
+                # Each member's first minimum over the rounds, as strict < round by round.
+                first, members = values.argmin(axis=0), np.arange(len(colony))
+                improved = values[first, members] < quality_key(colony.best_values)
+                colony.positions[...], colony.values[...] = landings[start - 1], values[-1]
+                colony.best_positions[improved] = landings[first, members][improved]
+                colony.best_values[improved] = values[first, members][improved]
+                state.evaluations += values.size
+            if ahead is None:
+                return state
     best_keys = quality_key(colony.best_values)
     rolled_back = 0
-    for step in steps:
-        moved = repair_bounds(colony.positions + step, space, rng)
-        values = evaluate_rows(objective, moved)
+    for step in steps[start:]:
+        if ahead:
+            (moved, values), ahead = ahead, None
+        else:
+            moved = repair_bounds(colony.positions + step, space, rng)
+            values = evaluate_rows(objective, moved)
         state.evaluations += len(values)
         # Only finite rows move, and a finite value is its own key.
         finite = np.isfinite(values)
@@ -282,8 +297,8 @@ def _distance_matrix(columns: np.ndarray) -> np.ndarray:
 
     `columns` is the (d, n) coordinate-major copy of the positions; rows
     go through euclidean in (d, rows, n) blocks near _BLOCK_ELEMENTS floats.
-    A move refreshes its column only in later rows, from their unmoved
-    columns (negation is exact). For d <= 2 all summation orders agree.
+    Exploit writes moved columns into later rows from their unmoved columns (negation is
+    exact), in blocks and in Python floats between. For d <= 2 all summation orders agree.
     """
     dim, size = columns.shape
     rows = max(1, _BLOCK_ELEMENTS // (size * dim))
@@ -300,17 +315,17 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass through the refreshed distance columns. A
-    step between two in-box points leaves the box only by rounding, so
-    only a step with a coordinate outside the box goes through
-    repair_bounds, which would draw nothing for the rest.
+    moves within the same pass: a ranked row holds the movers' new columns
+    as euclidean gives them. A step between two in-box points leaves the
+    box only by rounding, so only a step with a coordinate outside the box
+    goes through repair_bounds, which would draw nothing for the rest.
     """
     colony = state.population
     size = len(colony)
     if size < 2:
         _tally(state.diagnostics, exploit_skipped=1)
         return state
-    step_size = cfg.step_size
+    step_size, neighbour_count = cfg.step_size, cfg.neighbor_count
     lower, upper = space.lower, space.upper
     positions, best_positions = colony.positions, colony.best_positions
     best_keys = quality_key(colony.best_values).tolist()
@@ -318,26 +333,39 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     for _ in range(cfg.exploit_steps):
         columns = positions.T.copy()
         distances = _distance_matrix(columns)
-        for index in range(size):
+        pending = []  # (index, landing) of the moves not yet in every later row
+        for index, row, current in zip(range(size), distances, positions):
+            if pending and index % _FLUSH_PERIOD == 0:
+                distances[index:, index - _FLUSH_PERIOD:index] = euclidean(
+                    columns[:, index:, None], positions[index - _FLUSH_PERIOD:index].T[:, None])
+                pending = []
+            elif pending:  # core.euclidean's operations in its order; 0.0 + x is x for x >= 0
+                here = current.tolist()
+                for mover, landing in pending:
+                    total = 0.0
+                    for p, q in zip(here, landing):
+                        total += (p - q) * (p - q)
+                    row[mover] = math.sqrt(total)
             target_index = None
             target_key = best_keys[index]
-            for neighbour_index in rank_neighbours(distances[index], index, cfg.neighbor_count):
+            for neighbour_index in rank_neighbours(row, index, neighbour_count):
                 if best_keys[neighbour_index] < target_key:
                     target_index = neighbour_index
                     target_key = best_keys[neighbour_index]
             if target_index is None:
                 continue
-            moved = move_toward(positions[index], best_positions[target_index], step_size)
-            if not all(lower <= x <= upper for x in moved):
-                moved = repair_bounds(moved, space, rng).tolist()
+            moved = _step_toward(current, best_positions[target_index], step_size)
+            for x in moved:
+                if not lower <= x <= upper:
+                    moved = repair_bounds(moved, space, rng).tolist()
+                    break
             value = float(objective(moved))
             state.evaluations += 1
             if not math.isfinite(value):
                 rolled_back += 1
                 continue
             positions[index] = moved
-            distances[index + 1:, index] = euclidean(columns[:, index + 1:],
-                                                     positions[index, :, None])
+            pending.append((index, moved))
             colony.values[index] = value
             moves += 1
             # A finite value is its own quality key.

@@ -266,7 +266,8 @@ def seed_population(
 
 
 def euclidean(others, subjects) -> np.ndarray:
-    """Distances between coordinate-major (d, ...) points: squares added in coordinate order."""
+    """Distances between coordinate-major (d, ...) points: squares added in coordinate order.
+    abco.exploit_stage repeats this order in Python floats, so change both together."""
     deltas = others - subjects
     deltas *= deltas
     total = deltas[0]
@@ -310,7 +311,7 @@ def rank_neighbours(distances: np.ndarray, subject_index: int, k: int) -> list[i
         distances[subject_index] = math.inf
         for _ in range(k):
             index = int(distances.argmin())
-            if not distances[index] < math.inf:
+            if not distances.item(index) < math.inf:
                 break
             nearest.append(index)
             distances[index] = math.inf

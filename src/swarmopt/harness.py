@@ -50,7 +50,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from itertools import groupby
@@ -408,6 +407,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     if workers == 1:
         records = [_execute_run(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never imports it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_execute_run, tasks))
 

@@ -1,7 +1,9 @@
 """Colony optimizer stages, configuration arithmetic, early stopping."""
 
+import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +29,7 @@ from swarmopt.core import (
     RngStream,
     SearchSpace,
     derive_seed,
+    euclidean,
     k_nearest,
     minimised,
     quality_key,
@@ -124,6 +127,17 @@ def test_move_toward_lands_without_overshoot():
 
 def test_move_toward_identity():
     assert np.array_equal(move_toward((2.0, 2.0), (2.0, 2.0), 1.0), (2.0, 2.0))
+
+
+def test_move_toward_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="length mismatch"):
+        move_toward(np.zeros(2), np.zeros(1), 1.0)
+
+
+def test_move_toward_returns_floats_for_integer_inputs():
+    for target in ([1, 0], [3, 4]):
+        moved = move_toward([0, 0], np.array(target), 1.0)
+        assert all(type(x) is float for x in moved), moved
 
 
 def test_move_toward_is_numpys_step_bit_for_bit():
@@ -405,6 +419,61 @@ def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do()
                 explore(objective)
         assert outcome[-1] == outcome[-2]
         assert outcome[-1][3] == 3 * cfg.size
+
+
+def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
+    # nan and inf at a third of one round's landings: the rounds up to that
+    # one are evaluated only in the run-ahead call and committed from it,
+    # each later round once more in a call of its own, and the stage ends
+    # as the round-by-round path does, repair stream included.
+    space = SearchSpace(3, -2.0, 2.0)
+
+    def key(point):
+        return np.asarray(point, dtype=float).tobytes()
+
+    rechained = 0
+    for case in range(30):
+        draw = np.random.default_rng(900 + case)
+        cfg = AbcoConfig(size=int(draw.integers(2, 20)), step_size=float(draw.uniform(0.2, 3.0)),
+                         explore_steps=int(draw.integers(1, 4)),
+                         tumble_steps=int(draw.integers(1, 4)))
+        size, rounds = cfg.size, cfg.explore_steps * cfg.tumble_steps
+        calls = []
+
+        def counting(evaluator):
+            def point_form(point):
+                return evaluator(point)
+
+            def column_form(rows):
+                calls.append([key(row) for row in rows])
+                return np.array([float(evaluator(row)) for row in rows])
+
+            point_form.batch = column_form
+            return point_form
+
+        def explore(objective):
+            rng = RngStream(case)
+            state = fresh_state(seeded(space, size, sphere, rng))
+            explore_stage(state, cfg, objective, space, rng)
+            return snapshot(state, rng)
+
+        explore(counting(sphere))
+        chain, bad = calls[0], case % rounds
+        holes = {row: math.nan if member % 2 else math.inf
+                 for member, row in enumerate(chain[bad * size:(bad + 1) * size]) if member % 3 == 0}
+
+        def holed(p):
+            return holes.get(key(p), sphere(p))
+
+        expected = explore(holed)
+        calls.clear()
+        assert explore(counting(holed)) == expected, case
+        assert expected[4] == {"rolled_back_moves": len(holes)}, case
+        assert [len(rows) for rows in calls] == [rounds * size] + [size] * (rounds - bad - 1)
+        evaluated = Counter(row for rows in calls for row in rows)
+        assert all(evaluated[row] == 1 for row in chain[: (bad + 1) * size]), case
+        rechained += rounds - bad - 1
+    assert rechained > 10
 
 
 def test_explore_round_repairs_row_major_on_the_repair_stream():
@@ -832,6 +901,73 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
             stage_repairs += sum(repairs)
     if stage is exploit_stage:
         assert stage_repairs > 0
+
+
+FLUSH = abco._FLUSH_PERIOD
+
+
+@pytest.mark.parametrize("size", [FLUSH - 1, FLUSH, FLUSH + 1, 2 * FLUSH + 1, 25, 100])
+def test_exploit_matches_its_reference_across_flush_blocks(monkeypatch, size):
+    # Moved members' columns reach the later rows FLUSH members at a time,
+    # and each row in between gets them one entry at a time: sizes either
+    # side of one and two blocks, d = 1-6 and k = 1, 2, 5, 15. Every other
+    # case seeds a box a quarter width wider on each side, so steps leave
+    # the real box and are repaired; a nan region in a third of the cases
+    # gives nan bests and rollbacks, and values rounded down to halves in
+    # another third give exact ties.
+    repairs, repaired, moves, rollbacks = [], 0, 0, 0
+    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    for case, (dim, k) in enumerate(itertools.product(range(1, 7), (1, 2, 5, 15))):
+        draw = np.random.default_rng(1_000 * size + case)
+        space = SearchSpace(dim, -2.0, 3.0)
+        start_space = SearchSpace(dim, -3.25, 4.25) if case % 2 else space
+        centre = draw.uniform(-2.0, 3.0, dim).tolist()
+        cfg = AbcoConfig(size=size, neighbor_count=k, exploit_steps=2,
+                         step_size=float(draw.uniform(0.1, 2.0)))
+
+        def bowl(p, centre=centre, case=case):
+            if case % 3 == 0 and p[0] > 2.0:
+                return math.nan
+            total = 0.0
+            for x, c in zip(p, centre):
+                total += (x - c) * (x - c)
+            return math.floor(2.0 * total) / 2.0 if case % 3 == 1 else total
+
+        def run(stage):
+            rng = RngStream(case)
+            state = fresh_state(seeded(start_space, size, bowl, rng))
+            repairs.clear()
+            stage(state, cfg, bowl, space, rng)
+            return snapshot(state, rng)
+
+        expected = run(reference_exploit)
+        assert run(exploit_stage) == expected, (dim, k)
+        moves += expected[4].get("exploit_moves", 0)
+        rollbacks += expected[4].get("rolled_back_moves", 0)
+        repaired += sum(repairs)
+    assert moves > size and rollbacks > 0 and repaired > 0
+
+
+def test_exploit_writes_moved_columns_once_per_block(monkeypatch):
+    # A pass calls euclidean once per matrix block and then at most once
+    # per FLUSH members, at least once when members move; every pass here
+    # moves more members than that bound, so a call per move would exceed it.
+    calls = []
+    monkeypatch.setattr(abco, "euclidean", lambda *points: calls.append(1) or euclidean(*points))
+    for size, dim in ((100, 2), (25, 3), (400, 10), (FLUSH + 1, 1)):
+        space = SearchSpace(dim, -5.0, 5.0)
+        cfg = AbcoConfig(size=size, neighbor_count=2, step_size=0.05)
+        rng = RngStream(size + dim)
+        state = fresh_state(seeded(space, size, sphere, rng))
+        rows = max(1, abco._BLOCK_ELEMENTS // (size * dim))
+        blocks = -(-size // rows)
+        bound = blocks + -(-size // FLUSH)
+        for _ in range(3):
+            calls.clear()
+            before = state.diagnostics.get("exploit_moves", 0)
+            exploit_stage(state, cfg, sphere, space, rng)
+            moved = state.diagnostics["exploit_moves"] - before
+            assert blocks < len(calls) <= bound < moved, (size, dim, len(calls), moved)
 
 
 # --- early stop ------------------------------------------------------------
