@@ -2,11 +2,11 @@
 
 The colony is one Colony of arrays, a row per member: positions, values,
 personal bests and the checkpoint snapshot. Every stage reads and writes
-those arrays directly. The stages minimise: run_abco hands them the
+those arrays directly. The stages minimise: core.drive, which seeds the
+colony and keeps the champion, history and result, hands run_abco the
 evaluator from core.minimised, so a max-mode objective reaches them
-negated. Each iteration runs the three stages in order, refreshes the
-global best from the colony's personal bests, then checks the stagnation
-checkpoint.
+negated. Each iteration runs the three stages in order, offers the best
+personal best as champion, then checks the stagnation checkpoint.
 Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
@@ -30,21 +30,21 @@ from __future__ import annotations
 
 import logging
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     OptimizerResult,
     RngStream,
+    Run,
     SearchSpace,
     at_least,
     check_fields,
+    drive,
     euclidean,
     evaluate_rows,
     k_nearest,  # noqa: F401 - perfbench/tracing.py patches abco.k_nearest by name
-    minimised,
     non_negative,
     param,
     positive,
@@ -153,15 +153,10 @@ class Colony:
 
 
 @dataclass
-class RunState:
-    """Mutable state of one run between stages."""
+class RunState(Run):
+    """Mutable state of one run between stages: a Run and the colony it seeded."""
 
-    population: Colony
-    iteration: int
-    global_best_value: float
-    global_best_position: np.ndarray
-    evaluations: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    population: Colony | None = None
 
 
 def _tally(diagnostics: dict, **counts: int):
@@ -444,69 +439,40 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
     return False
 
 
-def _refresh_global_best(state: RunState) -> bool:
-    """Take the colony's best personal best if it beats the global one; say so."""
+def _offer_best_memory(state: RunState):
+    """Offer the colony's best personal best as the run's champion."""
     colony = state.population
-    keys = quality_key(colony.best_values)
-    best = int(keys.argmin())
-    if keys[best] < quality_key(state.global_best_value):
-        state.global_best_value = float(colony.best_values[best])
-        state.global_best_position = colony.best_positions[best].copy()
-        return True
-    return False
+    best = int(quality_key(colony.best_values).argmin())
+    state.offer(colony.best_values.item(best), colony.best_positions[best])
 
 
 def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     """Seed the colony, iterate the three stages, report the best find.
 
     `objective` is an ObjectiveSpec; its evaluator and space drive the run
-    and its mode decides the direction of improvement. The global best
-    starts from the seeded population and is refreshed before and after
-    reproduction each iteration, so it is the best value ever evaluated.
-    The reported best and history are the objective's own values. A
-    population of one warns once per run that exploit is skipped.
+    and its mode decides the direction of improvement. core.drive seeds
+    the colony and keeps the champion and history; the colony's best
+    personal best is offered before and after reproduction each iteration,
+    so the champion is the best value ever evaluated. A population of one
+    warns once per run that exploit is skipped.
     """
-    started = time.perf_counter()
     space = objective.space
-    evaluator, sign = minimised(objective)
-
     if cfg.size < 2:
         logger.warning("exploit stage skipped: population of one has no neighbours")
-    positions, values = seed_population(space, cfg.size, evaluator, rng)
-    champion = int(quality_key(values).argmin())
-    state = RunState(
-        population=Colony.fresh(positions, values),
-        iteration=0,
-        global_best_value=float(values[champion]),
-        global_best_position=positions[champion].copy(),
-        evaluations=cfg.size,
-        diagnostics={"best_history": []},
-    )
 
-    early_stopped = False
-    # The history repeats one float object until the best improves.
-    reported = sign * state.global_best_value
-    for iteration in range(1, cfg.iterations + 1):
-        state.iteration = iteration
-        explore_stage(state, cfg, evaluator, space, rng)
-        exploit_stage(state, cfg, evaluator, space, rng)
-        # Reproduction culls by current value, which can drop the member
-        # holding the best personal record, so record it first.
-        improved = _refresh_global_best(state)
-        reproduce_stage(state, cfg, evaluator, space, rng)
-        if _refresh_global_best(state) or improved:
-            reported = sign * state.global_best_value
-        state.diagnostics["best_history"].append(reported)
-        if early_stop_check(state, cfg):
-            early_stopped = True
-            break
+    def search(state, evaluate, positions, values):
+        state.population = Colony.fresh(positions, values)
+        for state.iteration in range(1, cfg.iterations + 1):
+            explore_stage(state, cfg, evaluate, space, rng)
+            exploit_stage(state, cfg, evaluate, space, rng)
+            # Reproduction culls by current value, which can drop the member
+            # holding the best personal record, so offer it first.
+            _offer_best_memory(state)
+            reproduce_stage(state, cfg, evaluate, space, rng)
+            _offer_best_memory(state)
+            yield
+            if early_stop_check(state, cfg):
+                state.early_stopped = True
+                return
 
-    return OptimizerResult(
-        best_value=reported,
-        best_position=state.global_best_position.copy(),
-        iterations_executed=state.iteration,
-        evaluations=state.evaluations,
-        early_stopped=early_stopped,
-        runtime_seconds=time.perf_counter() - started,
-        diagnostics=state.diagnostics,
-    )
+    return drive(objective, cfg.size, rng, search, RunState())

@@ -16,15 +16,15 @@ guide) array. Summing its archive axis adds rows in order, as a per-guide
 np.sum(axis=0) does at dim >= 2; at dim 1, where numpy sums pairwise,
 each guide's distances are summed over one contiguous row. The samples
 are repaired in one core.repair_bounds call, which redraws only the
-coordinates outside the box, in ant order. Both minimise the evaluator
-from core.minimised, evaluate each iteration's points in one
-core.evaluate_rows call, and report the objective's own values.
+coordinates outside the box, in ant order. Each is a search under
+core.drive, which seeds it, minimises the objective, keeps the champion
+and history and reports the objective's own values; each evaluates an
+iteration's points in one core.evaluate_rows call.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +35,12 @@ from .core import (
     RngStream,
     at_least,
     check_fields,
+    drive,
     evaluate_rows,
-    minimised,
     param,
     positive,
     quality_key,
     repair_bounds,
-    seed_population,
 )
 
 __all__ = [
@@ -115,62 +114,39 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
     the velocity component of any clamped coordinate is zeroed, so the
     swarm cannot ride an overshoot outside the bounds.
     """
-    started = time.perf_counter()
     space = objective.space
-    evaluate, sign = minimised(objective)
 
-    positions, values = seed_population(space, cfg.size, evaluate, rng)
-    velocities = np.zeros_like(positions)
-    evaluations = cfg.size
+    def search(run, evaluate, positions, values):
+        velocities = np.zeros_like(positions)
+        best_positions = positions.copy()
+        best_values = values.copy()
+        best_keys = quality_key(best_values)
+        for t in range(cfg.iterations):
+            w = inertia_weight(cfg, t)
+            local_pull = rng.uniform(size=(cfg.size, 1))
+            global_pull = rng.uniform(size=(cfg.size, 1))
+            velocities = (
+                w * velocities
+                + cfg.local_coefficient * local_pull * (best_positions - positions)
+                + cfg.global_coefficient * global_pull * (run.global_best_position - positions)
+            )
+            positions = positions + velocities
+            outside = (positions < space.lower) | (positions > space.upper)
+            positions = np.minimum(np.maximum(positions, space.lower), space.upper)
+            velocities[outside] = 0.0
 
-    best_positions = positions.copy()
-    best_values = values.copy()
-    best_keys = quality_key(best_values)
-    champion = int(best_keys.argmin())
-    global_key = best_keys.item(champion)
-    global_position = best_positions[champion].copy()
-    # The history repeats one float object until the best improves.
-    reported = sign * float(best_values[champion])
-    history = [reported]
+            values = evaluate_rows(evaluate, positions)
+            run.evaluations += cfg.size
+            keys = quality_key(values)
+            improved = keys < best_keys
+            best_values = np.where(improved, values, best_values)
+            best_keys = np.where(improved, keys, best_keys)
+            best_positions[improved] = positions[improved]
+            champion = int(best_keys.argmin())
+            run.offer(best_values.item(champion), best_positions[champion])
+            yield
 
-    for t in range(cfg.iterations):
-        w = inertia_weight(cfg, t)
-        local_pull = rng.uniform(size=(cfg.size, 1))
-        global_pull = rng.uniform(size=(cfg.size, 1))
-        velocities = (
-            w * velocities
-            + cfg.local_coefficient * local_pull * (best_positions - positions)
-            + cfg.global_coefficient * global_pull * (global_position - positions)
-        )
-        positions = positions + velocities
-        outside = (positions < space.lower) | (positions > space.upper)
-        positions = np.minimum(np.maximum(positions, space.lower), space.upper)
-        velocities[outside] = 0.0
-
-        values = evaluate_rows(evaluate, positions)
-        evaluations += cfg.size
-        keys = quality_key(values)
-        improved = keys < best_keys
-        best_values = np.where(improved, values, best_values)
-        best_keys = np.where(improved, keys, best_keys)
-        best_positions[improved] = positions[improved]
-
-        champion = int(best_keys.argmin())
-        if best_keys.item(champion) < global_key:
-            global_key = best_keys.item(champion)
-            global_position = best_positions[champion].copy()
-            reported = sign * float(best_values[champion])
-        history.append(reported)
-
-    return OptimizerResult(
-        best_value=reported,
-        best_position=global_position.copy(),
-        iterations_executed=cfg.iterations,
-        evaluations=evaluations,
-        early_stopped=False,
-        runtime_seconds=time.perf_counter() - started,
-        diagnostics={"best_history": history},
-    )
+    return drive(objective, cfg.size, rng, search)
 
 
 def rank_weights(size: int, intent_factor: float) -> np.ndarray:
@@ -217,44 +193,24 @@ def run_acor(objective, cfg: AcorConfig, rng: RngStream) -> OptimizerResult:
     coordinate. Samples are repaired into bounds, evaluated, and merged;
     the archive keeps the best `size` entries and stays sorted by quality.
     """
-    started = time.perf_counter()
-    space = objective.space
-    evaluate, sign = minimised(objective)
-    n = cfg.size
+    space, n = objective.space, cfg.size
 
-    positions, values = seed_population(space, n, evaluate, rng)
-    evaluations = n
-    order = np.argsort(quality_key(values), kind="stable")
-    positions, values = positions[order], values[order]
+    def search(run, evaluate, positions, values):
+        order = np.argsort(quality_key(values), kind="stable")
+        positions, values = positions[order], values[order]
+        cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
+        sample_count = cfg.resolved_sample_count
+        for _ in range(cfg.iterations):
+            picks = rng.generator.random(sample_count)
+            guides = np.minimum(np.searchsorted(cumulative, picks, side="right"), n - 1)
+            deviations = cfg.deviation_ratio * _deviation_sums(positions, guides) / (n - 1)
+            normals = rng.generator.standard_normal((sample_count, space.dim))
+            samples = repair_bounds(positions[guides] + deviations * normals, space, rng)
+            sample_values = evaluate_rows(evaluate, samples)
+            run.evaluations += sample_count
+            positions, values = merge_archive(positions, values, samples, sample_values, n)
+            # Ties keep the archive entry first, so the head is the champion.
+            run.offer(values.item(0), positions[0])
+            yield
 
-    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
-    sample_count = cfg.resolved_sample_count
-    best = float(values[0])
-    reported = sign * best
-    history = [reported]
-
-    for _ in range(cfg.iterations):
-        picks = rng.generator.random(sample_count)
-        guides = np.minimum(np.searchsorted(cumulative, picks, side="right"), n - 1)
-        deviations = cfg.deviation_ratio * _deviation_sums(positions, guides) / (n - 1)
-        normals = rng.generator.standard_normal((sample_count, space.dim))
-        samples = repair_bounds(positions[guides] + deviations * normals, space, rng)
-        sample_values = evaluate_rows(evaluate, samples)
-        evaluations += sample_count
-        positions, values = merge_archive(positions, values, samples, sample_values, n)
-        # Ties keep the archive entry first, so the head changes only when
-        # a sample beats it.
-        if quality_key(values.item(0)) < quality_key(best):
-            best = values.item(0)
-            reported = sign * best
-        history.append(reported)
-
-    return OptimizerResult(
-        best_value=reported,
-        best_position=positions[0].copy(),
-        iterations_executed=cfg.iterations,
-        evaluations=evaluations,
-        early_stopped=False,
-        runtime_seconds=time.perf_counter() - started,
-        diagnostics={"best_history": history},
-    )
+    return drive(objective, n, rng, search)

@@ -1,4 +1,4 @@
-"""Shared primitives: search space, population seeding, seeded randomness.
+"""Shared primitives: search space, population seeding, seeded randomness, run driver.
 
 Everything stochastic in this package draws from an explicitly seeded
 RngStream, never from global numpy state, so any run can be replayed bit
@@ -13,7 +13,9 @@ carries one; evaluation draws nothing, so either path leaves the streams
 alike. Every batch of points they repair goes through one repair_bounds
 call, which draws all of its resampled coordinates at once in the order
 one scalar draw per coordinate, row by row, would take them. Neighbours
-rank in (distance, index) order, nan last (rank_neighbours).
+rank in (distance, index) order, nan last (rank_neighbours). drive runs
+every optimizer under one protocol (seeding, champion, history, result);
+each supplies only its iteration step, and Run.offer is the champion rule.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -36,6 +39,8 @@ __all__ = [
     "SearchSpace",
     "RngStream",
     "OptimizerResult",
+    "Run",
+    "drive",
     "derive_seed",
     "minimised",
     "evaluate_rows",
@@ -263,6 +268,64 @@ def seed_population(
         raise ConfigurationError(f"population size must be at least 1, got {size}")
     positions = rng.uniform(space.lower, space.upper, size=(size, space.dim))
     return positions, evaluate_rows(objective, positions)
+
+
+@dataclass(kw_only=True)
+class Run:
+    """What drive shares with a search: the champion (the best minimised value
+    evaluated, and where), `reported` (its value times `sign`, the objective's
+    own), evaluations counted from seeding on, and the early-stop flag."""
+
+    iteration: int = 0
+    evaluations: int = 0
+    global_best_value: float = math.inf
+    global_best_position: np.ndarray | None = None
+    sign: float = 1.0
+    reported: float = math.inf
+    early_stopped: bool = False
+    diagnostics: dict = field(default_factory=dict)
+
+    def offer(self, value: float, position) -> None:
+        """Make (value, position) the champion if its quality key is strictly lower:
+        ties keep the first position, and `reported` changes object only here."""
+        if quality_key(value) < quality_key(self.global_best_value):
+            self.global_best_value = value
+            self.global_best_position = position.copy()
+            self.reported = self.sign * value
+
+
+def drive(objective, size: int, rng: RngStream, search, run: Run | None = None) -> OptimizerResult:
+    """One run of an optimizer on ObjectiveSpec `objective`: seed, iterate, report.
+
+    drive minimises the objective, draws and evaluates the seeding batch of
+    `size` points first, and makes its lowest quality key the champion even
+    if no value is finite. The generator `search(run, evaluate, positions,
+    values)` gets `run` (a fresh Run by default), the minimised evaluator and
+    that batch; it counts its evaluations, offers its finds, and yields once
+    per iteration. diagnostics["best_history"] is the seeded best, then
+    `run.reported` after each iteration: iterations_executed is its length - 1.
+    """
+    started = time.perf_counter()
+    evaluate, sign = minimised(objective)
+    positions, values = seed_population(objective.space, size, evaluate, rng)
+    run = Run() if run is None else run
+    champion = int(quality_key(values).argmin())
+    run.sign, run.evaluations = sign, size
+    run.global_best_value = values.item(champion)
+    run.global_best_position = positions[champion].copy()
+    run.reported = sign * run.global_best_value
+    history = run.diagnostics["best_history"] = [run.reported]
+    for _ in search(run, evaluate, positions, values):
+        history.append(run.reported)
+    return OptimizerResult(
+        best_value=run.reported,
+        best_position=run.global_best_position.copy(),
+        iterations_executed=len(history) - 1,
+        evaluations=run.evaluations,
+        early_stopped=run.early_stopped,
+        runtime_seconds=time.perf_counter() - started,
+        diagnostics=run.diagnostics,
+    )
 
 
 def euclidean(others, subjects) -> np.ndarray:

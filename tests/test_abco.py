@@ -1035,7 +1035,7 @@ def test_run_abco_history_is_monotone():
     cfg = AbcoConfig(size=12, iterations=20)
     result = run_abco(spec_of("ackley"), cfg, RngStream(5))
     history = result.diagnostics["best_history"]
-    assert len(history) == result.iterations_executed
+    assert len(history) == result.iterations_executed + 1
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
     assert inside(spec_of("ackley").space, result.best_position)
 

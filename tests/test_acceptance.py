@@ -304,7 +304,7 @@ def test_criterion_6_best_values_never_worsen():
         _, sign = minimised(objective)
         result = run_abco(objective, cfg, stream)
         history = result.diagnostics["best_history"]
-        assert len(history) == result.iterations_executed
+        assert len(history) == result.iterations_executed + 1
         for earlier, later in zip(history, history[1:]):
             assert not quality_key(sign * earlier) < quality_key(sign * later)
         assert result.best_value == history[-1]
