@@ -287,7 +287,7 @@ class Run:
 
     def offer(self, value: float, position) -> None:
         """Make (value, position) the champion if its quality key is strictly lower:
-        ties keep the first position, and `reported` changes object only here."""
+        ties keep the first position, and `reported` is a new float only on improvement."""
         if quality_key(value) < quality_key(self.global_best_value):
             self.global_best_value = value
             self.global_best_position = position.copy()
