@@ -2,7 +2,6 @@
 
 from .core import (
     ConfigurationError,
-    EmptyNeighbourhoodError,
     OptimizationMode,
     OptimizerResult,
     RngStream,
@@ -10,32 +9,10 @@ from .core import (
     UnknownFunctionError,
     derive_seed,
     error_rate,
-    k_nearest,
-    repair_bounds,
-    seed_population,
 )
 from .benchmarks import ObjectiveSpec, evaluate, list_functions, spec_of
-from .abco import (
-    AbcoConfig,
-    Colony,
-    RunState,
-    early_stop_check,
-    explore_stage,
-    exploit_stage,
-    move_toward,
-    reproduce_stage,
-    run_abco,
-    tumble_step,
-)
-from .baselines import (
-    AcorConfig,
-    PsoConfig,
-    inertia_weight,
-    merge_archive,
-    rank_weights,
-    run_acor,
-    run_pso,
-)
+from .abco import AbcoConfig, run_abco
+from .baselines import AcorConfig, PsoConfig, run_acor, run_pso
 from .harness import (
     ExperimentConfig,
     RunRecord,

@@ -14,26 +14,26 @@ experiment_id and base_seed optional):
                         N_tum, s, k, generation_gap, unchanged_threshold,
                         size} applied to every function, or keyed by function
                         id with per-function blocks; unset fields fall back to
-                        the bundled per-function presets
+                        the bundled colony preset, then to AbcoConfig's defaults
     pso                 {c1, c2, w_min, w_max, size}
     aco                 {sample_count, intent_factor, zeta, size}
-    population_overrides  map function id -> colony size, overriding the
-                        colony population for that function only (the
-                        stress-test experiment shrinks sphere to 15 while the
-                        baselines keep their own sizes)
+    population_overrides  map function id -> colony size: abco.<fn>.size
+                        under another name, kept for existing configs
 
 Config files keep the short parameter spellings used in the literature; each
 optimizer config field declares its spelling and range check, and load_config
 translates to the descriptive field names. One builder resolves every
 optimizer config from blocks in layers, a later layer winning: for the
-colony the bundled preset (presets/abco/<fn>.json), then the flat abco
-block, then abco.<fn>, then population_overrides.<fn> as size; pso and aco
-are one block each; `swarmopt run` takes the preset (colony only), then
---param, with --pop-size as size. An error names the key by the block that
-gave it (abco.s, not abco.sphere.s); a field no block set goes by its key.
-Every float must be finite. Three configs ship with the package
-(experiment1/2/3: all algorithms at population 100, all at 25, and colony
-25 vs baselines 100) along with per-function colony presets.
+colony the bundled preset (presets/abco.json:<fn>, empty for a function it
+does not tune), then the flat abco block, then abco.<fn>, then
+population_overrides.<fn> as size; pso and aco are one block each;
+`swarmopt run` takes the preset (colony only), then --param, with
+--pop-size as size. An error names the key by the block that gave it
+(abco.s, not abco.sphere.s); a field no block set goes by its key. Every
+float must be finite. Three configs ship with the package (experiment1/2/3:
+all algorithms at population 100, all at 25, and colony 25, sphere's 15,
+vs baselines 100) along with presets/abco.json, the colony parameters tuned
+for himmelblau and sphere.
 
 Runs are independent and may execute in parallel; SWARM_OPT_THREADS caps the
 worker count (0 or unset picks the CPU count). Determinism does not depend
@@ -136,7 +136,8 @@ class RunRecord:
 # One records-CSV column per RunRecord field, in declaration order.
 _CSV_FIELDS = [f for f in fields(RunRecord) if f.name != "failed"]
 CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
-_CSV_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda text: text == "true"}
+_CSV_PARSERS = {"str": str, "int": int, "float": float,
+                "bool": {"true": True, "false": False}.__getitem__}
 
 
 @dataclass
@@ -175,13 +176,14 @@ def _load_preset(relative: str) -> dict:
 
 
 def abco_preset(function_id: str) -> dict:
-    """The bundled per-function colony parameters, in config spelling."""
+    """The bundled colony parameters tuned for one function, in config
+    spelling; empty for a function that runs on AbcoConfig's defaults."""
     spec_of(function_id)
-    return _load_preset(f"abco/{function_id}.json")
+    return _load_preset("abco.json").get(function_id, {})
 
 
 def _preset_layer(function_id: str) -> tuple[str, dict]:
-    return f"presets/abco/{function_id}.json", abco_preset(function_id)
+    return f"presets/abco.json:{function_id}", abco_preset(function_id)
 
 
 def _resolve(cls, location: str, layers, **fixed):
@@ -458,7 +460,7 @@ def read_results(in_path) -> list[RunRecord]:
             for declared, text in zip(_CSV_FIELDS, row):
                 try:
                     values[declared.name] = _CSV_PARSERS[declared.type](text)
-                except ValueError:
+                except (ValueError, KeyError):
                     raise ValueError(f"{where}: {declared.name} expects "
                                      f"{declared.type}, got {text!r}") from None
             records.append(RunRecord(**values, failed=math.isnan(values["best_value"])))

@@ -93,16 +93,33 @@ def test_aggregate_stats_rejects_empty():
 
 # --- config loading ----------------------------------------------------------
 
-def test_bundled_presets_cover_every_function():
+# The colony parameters the bundled preset tunes; every other function runs
+# on AbcoConfig's defaults.
+TUNED = {
+    "himmelblau": {"survivor_fraction": 0.3, "neighbor_count": 5},
+    "sphere": {"tumble_steps": 3, "survivor_fraction": 0.5, "neighbor_count": 15},
+}
+
+
+def test_bundled_preset_pins_each_functions_colony_config():
+    exp2 = load_config("experiment2")
+    parser = harness._build_parser()
     for name in list_functions():
-        preset = abco_preset(name)
-        assert set(preset) == {
-            "N_s", "N_explor", "N_explt", "N_tum", "s", "k",
-            "generation_gap", "unchanged_threshold",
-        }
-    assert abco_preset("sphere")["N_tum"] == 3
-    assert abco_preset("sphere")["k"] == 15
-    assert abco_preset("ackley")["s"] == 0.8
+        expected = AbcoConfig(size=25, iterations=100, **TUNED.get(name, {}))
+        assert exp2.abco[name] == expected
+        argv = ["run", "--algorithm", "abco", "--function", name]
+        assert harness._run_config(parser.parse_args(argv)) == expected
+    assert abco_preset("ackley") == {}
+    assert abco_preset("sphere") == {"N_tum": 3, "s": 0.5, "k": 15}
+
+
+def test_bundled_preset_keys_are_registry_functions_with_valid_blocks():
+    # .get(fn, {}) never raises, so a misspelt id would drop its tuning silently.
+    table = harness._load_preset("abco.json")
+    assert set(table) <= set(list_functions())
+    for name, block in table.items():
+        assert block
+        harness._resolve(AbcoConfig, "abco.json", [(name, block)])
 
 
 def test_bundled_experiment_configs_resolve():
@@ -152,7 +169,7 @@ def test_flat_and_per_function_colony_blocks_merge(tmp_path):
     assert cfg.abco["booth"].survivor_fraction == pytest.approx(0.5)
     assert cfg.abco["sphere"].survivor_fraction == pytest.approx(0.5)
     assert cfg.abco["sphere"].neighbor_count == 3
-    assert cfg.abco["booth"].neighbor_count == 2  # preset value kept
+    assert cfg.abco["booth"].neighbor_count == 2  # default kept: booth has no preset block
     assert cfg.abco["booth"].size == 8
     assert cfg.abco["sphere"].size == 8
 
@@ -164,6 +181,8 @@ def test_population_overrides_only_touch_the_colony(tmp_path):
     assert cfg.abco["himmelblau"].size == 6
     assert cfg.pso.size == 6
     assert cfg.aco.size == 6
+    # the alias is abco.<fn>.size under another name
+    assert load_config(tiny_config(tmp_path, abco={"size": 6, "booth": {"size": 4}})) == cfg
 
 
 def test_defaults_fill_missing_optional_keys(tmp_path):
@@ -544,6 +563,15 @@ def test_read_results_names_the_malformed_line(tmp_path):
     wordy.write_text(f"{header}\n{','.join(fields)}\n")
     with pytest.raises(ValueError, match=r"^wordy\.csv:2: pop_size .*'many'"):
         read_results(wordy)
+
+    # a boolean cell is exactly true or false, not anything else read as false
+    for cell in ("True", "1", "yes", ""):
+        fields = row.split(",")
+        fields[11] = cell
+        loose = tmp_path / "loose.csv"
+        loose.write_text(f"{header}\n{','.join(fields)}\n")
+        with pytest.raises(ValueError, match=rf"^loose\.csv:2: early_stopped .*'{cell}'$"):
+            read_results(loose)
 
 
 # --- table -------------------------------------------------------------------
