@@ -10,7 +10,9 @@ personal best as champion, then checks the stagnation checkpoint.
 Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
-lone survivor forces fresh reseeding. Repairs draw from the stream's
+lone survivor forces fresh reseeding. A stage's rounds are drawn in one
+call, which is that round-by-round stream: a zero row is redrawn from the
+rows that follow it (see _tumble_steps). Repairs draw from the stream's
 repair generator, row by row: for an explore round in one repair_bounds
 call, which draws only if the round left the box; in exploit per step.
 
@@ -28,6 +30,8 @@ when the evaluator has a column form, up to the first non-finite value.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -184,16 +188,23 @@ def tumble_step(
 
 
 def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.ndarray:
-    """An explore stage's (rounds, size, dim) tumble displacements, tumble_step's per row:
-    per round one (size, dim) batch of directions, then each all-zero row redrawn in order."""
-    directions = np.empty((cfg.explore_steps * cfg.tumble_steps, size, dim))
-    for batch in directions:
-        batch[...] = rng.standard_normal((size, dim))
-        if not (batch * batch).all():  # with no zero square, no squared norm is zero
+    """An explore stage's (rounds, size, dim) tumble displacements, tumble_step's per row.
+
+    The stream is the round-by-round one: per round a (size, dim) batch of
+    directions, then each all-zero row redrawn in order. All rounds are one
+    draw; only if it holds a zero square is it re-read that way, a redraw
+    taking the draw's next row and, past its end, a new one.
+    """
+    directions = rng.standard_normal((cfg.explore_steps * cfg.tumble_steps, size, dim))
+    if not (directions * directions).all():  # with no zero square, no squared norm is zero
+        rows = itertools.chain(directions.reshape(-1, dim).copy(),
+                               map(rng.standard_normal, itertools.repeat(dim)))
+        for batch in directions:
+            batch[...] = [next(rows) for _ in range(size)]
             squared = (batch[:, None, :] @ batch[:, :, None]).ravel()
             for row in np.flatnonzero(squared == 0.0):
                 while squared[row] == 0.0:
-                    batch[row] = rng.standard_normal(dim)
+                    batch[row] = next(rows)
                     squared[row] = batch[row] @ batch[row]
     # Stacked matmul gives the same squared norm as direction @ direction.
     squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
@@ -258,10 +269,11 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
             if start:
                 # Each member's first minimum over the rounds, as strict < round by round.
                 first, members = values.argmin(axis=0), np.arange(len(colony))
-                improved = values[first, members] < quality_key(colony.best_values)
+                first_values, first_landings = values[first, members], landings[first, members]
+                improved = first_values < quality_key(colony.best_values)
                 colony.positions[...], colony.values[...] = landings[start - 1], values[-1]
-                colony.best_positions[improved] = landings[first, members][improved]
-                colony.best_values[improved] = values[first, members][improved]
+                np.copyto(colony.best_positions, first_landings, where=improved[:, None])
+                np.copyto(colony.best_values, first_values, where=improved)
                 state.evaluations += values.size
             if ahead is None:
                 return state
@@ -372,6 +384,25 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     return state
 
 
+@functools.lru_cache(maxsize=64)
+def _regeneration_plan(needed: int, retained: int, neighbour_count: int) -> tuple:
+    """Per chosen rank, best first: its weight and the read-only (needed,)
+    survivor ranks it reads, one per replacement. Shared by every call."""
+    weight_total = neighbour_count * (neighbour_count + 1) / 2.0
+    guides = np.arange(needed) % retained
+    # The neighbour_count ranks nearest each guide, ties toward the better
+    # side: a window of neighbour_count + 1 consecutive ranks holding the
+    # guide, shifted to fit inside the survivors, with the guide taken out.
+    # Survivors are best-first, so each row of chosen is in ascending value rank.
+    starts = np.minimum(np.maximum(guides - (neighbour_count + 1) // 2, 0),
+                        retained - 1 - neighbour_count)
+    window = starts[:, None] + np.arange(neighbour_count + 1)
+    chosen = window[window != guides[:, None]].reshape(needed, neighbour_count).T.copy()
+    chosen.flags.writeable = False
+    return tuple(((neighbour_count - rank) / weight_total, ranks)
+                 for rank, ranks in enumerate(chosen))
+
+
 def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Keep the best slice of the population and regenerate the rest.
 
@@ -382,7 +413,10 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
     the k survivors closest to the guide in that ranking (ties toward the
     better side), best of the chosen weighted heaviest; with a single
     survivor the replacements reseed uniformly instead. Replacements start
-    their personal-best memory from their own birth position.
+    their personal-best memory from their own birth position. Which ranks
+    each replacement averages, and their weights, depend only on (needed,
+    retained, k), so _regeneration_plan builds them once per shape and
+    caches them, their index arrays read-only.
     """
     ranked = np.argsort(quality_key(state.population.values), kind="stable")
     survivors = state.population.take(ranked[: cfg.survivor_count])
@@ -392,24 +426,12 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
         if retained == 1:
             positions, values = seed_population(space, needed, objective, rng)
         else:
-            neighbour_count = min(cfg.neighbor_count, retained - 1)
-            weight_total = neighbour_count * (neighbour_count + 1) / 2.0
-            guides = np.arange(needed) % retained
-            # The neighbour_count ranks nearest each guide, ties toward the
-            # better side: a window of neighbour_count + 1 consecutive ranks
-            # holding the guide, shifted to fit inside the survivors, with
-            # the guide taken out. Survivors are best-first, so each row of
-            # chosen is in ascending value rank.
-            starts = np.minimum(np.maximum(guides - (neighbour_count + 1) // 2, 0),
-                                retained - 1 - neighbour_count)
-            window = starts[:, None] + np.arange(neighbour_count + 1)
-            chosen = window[window != guides[:, None]].reshape(needed, neighbour_count)
             # One weighted rank at a time over all rows: per element the
             # same additions in the same order as a per-row sum.
+            plan = _regeneration_plan(needed, retained, min(cfg.neighbor_count, retained - 1))
             positions = np.zeros((needed, space.dim))
-            for rank in range(1, neighbour_count + 1):
-                weight = (neighbour_count - rank + 1) / weight_total
-                positions += weight * survivors.positions[chosen[:, rank - 1]]
+            for weight, ranks in plan:
+                positions += weight * survivors.positions[ranks]
             values = evaluate_rows(objective, positions)
         state.evaluations += needed
         survivors = survivors.concat(Colony.fresh(positions, values))
@@ -461,7 +483,8 @@ def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
         logger.warning("exploit stage skipped: population of one has no neighbours")
 
     def search(state, evaluate, positions, values):
-        state.population = Colony.fresh(positions, values)
+        # The stages write to the colony's positions, and the evaluator may keep the seeding batch.
+        state.population = Colony.fresh(positions.copy(), values)
         for state.iteration in range(1, cfg.iterations + 1):
             explore_stage(state, cfg, evaluate, space, rng)
             exploit_stage(state, cfg, evaluate, space, rng)

@@ -4,10 +4,11 @@ Both optimizers share the colony's RNG, bounds-repair and result types so
 that cross-algorithm comparisons differ only in search logic. Randomness is
 consumed in a fixed order. PSO: the seeding batch, then per iteration one
 (size,) uniform batch scaling the personal pull and one scaling the global
-pull, a single scalar per particle shared across coordinates as in the
-original bird-flock formulation (per-coordinate scaling converges too
-sharply on multimodal landscapes at small populations to match the
-reference behaviour this suite is checked against).
+pull, drawn in that stream order as one (2, size, 1) batch. Each is a
+single scalar per particle shared across coordinates, as in the original
+bird-flock formulation (per-coordinate scaling converges too sharply on
+multimodal landscapes at small populations to match the reference
+behaviour this suite is checked against).
 ACO: the seeding batch, then per iteration one (sample_count,) uniform
 batch for the ants' guides and one (sample_count, dim) normal batch. The
 archive is fixed within an iteration, as in ACO_R, and deviations are
@@ -112,36 +113,43 @@ def run_pso(objective, cfg: PsoConfig, rng: RngStream) -> OptimizerResult:
 
     Velocities start at zero. Positions are clamped to the search box and
     the velocity component of any clamped coordinate is zeroed, so the
-    swarm cannot ride an overshoot outside the bounds.
+    swarm cannot ride an overshoot outside the bounds. Velocities and
+    personal bests are updated in arrays the run allocates once; each
+    iteration's positions are a new array, since the evaluator may keep it.
     """
     space = objective.space
 
     def search(run, evaluate, positions, values):
-        velocities = np.zeros_like(positions)
-        best_positions = positions.copy()
-        best_values = values.copy()
+        velocities, pull = np.zeros_like(positions), np.empty_like(positions)
+        best_positions, best_values = positions.copy(), values.copy()
         best_keys = quality_key(best_values)
         for t in range(cfg.iterations):
             w = inertia_weight(cfg, t)
-            local_pull = rng.uniform(size=(cfg.size, 1))
-            global_pull = rng.uniform(size=(cfg.size, 1))
-            velocities = (
-                w * velocities
-                + cfg.local_coefficient * local_pull * (best_positions - positions)
-                + cfg.global_coefficient * global_pull * (run.global_best_position - positions)
-            )
+            # Two (size, 1) uniform batches: random() is uniform(0, 1) without its 0 + 1 * u.
+            local_pull, global_pull = rng.generator.random((2, cfg.size, 1))
+            # The velocity update in place, each product and sum as written out:
+            # w * v + (c1 * local_pull) * (best - x) + (c2 * global_pull) * (g - x).
+            velocities *= w
+            np.subtract(best_positions, positions, out=pull)
+            pull *= cfg.local_coefficient * local_pull
+            velocities += pull
+            np.subtract(run.global_best_position, positions, out=pull)
+            pull *= cfg.global_coefficient * global_pull
+            velocities += pull
+            # A fresh array: the evaluator may keep the one it was handed.
             positions = positions + velocities
             outside = (positions < space.lower) | (positions > space.upper)
-            positions = np.minimum(np.maximum(positions, space.lower), space.upper)
+            np.maximum(positions, space.lower, out=positions)
+            np.minimum(positions, space.upper, out=positions)
             velocities[outside] = 0.0
 
             values = evaluate_rows(evaluate, positions)
             run.evaluations += cfg.size
             keys = quality_key(values)
             improved = keys < best_keys
-            best_values = np.where(improved, values, best_values)
-            best_keys = np.where(improved, keys, best_keys)
-            best_positions[improved] = positions[improved]
+            np.copyto(best_values, values, where=improved)
+            np.copyto(best_keys, keys, where=improved)
+            np.copyto(best_positions, positions, where=improved[:, None])
             champion = int(best_keys.argmin())
             run.offer(best_values.item(champion), best_positions[champion])
             yield

@@ -164,8 +164,10 @@ def evaluate_rows(evaluator, rows) -> np.ndarray:
     the (m, d) matrix and returning what m calls in row order would, bit
     for bit; the registry's evaluators do. It must be pure, the same rows
     giving the same values with no side effects: explore may evaluate
-    landings it then discards, after a non-finite value or a raise.
-    Without one, and so for any wrapped evaluator, every row is one call, in row order.
+    landings it then discards, after a non-finite value or a raise. An
+    evaluator may keep the batch it is passed: no optimizer writes to it
+    afterwards. Without a column form, and so for any wrapped evaluator,
+    every row is one call, in row order.
     """
     batch = getattr(evaluator, "batch", None)
     if batch is None:

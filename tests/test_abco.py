@@ -522,29 +522,34 @@ class ZeroDirectionStream(RngStream):
 
 def test_explore_redraws_zero_directions_after_the_batch_in_row_order():
     # No tumble leaves the box. Members 5 and 2 draw zero directions in
-    # the second round; each is redrawn after that round's batch, member 2
-    # first, and nothing touches the repair stream.
-    cfg = AbcoConfig(size=8, step_size=0.5, explore_steps=1, tumble_steps=2)
-    draws = RngStream(5).standard_normal((16, 2))
-    rng = ZeroDirectionStream(5, draws[[13, 10]])
-    colony = colony_at(*[(0.2 * i - 0.7, 0.1 * i, 0.0) for i in range(cfg.size)])
-    positions = colony.positions.copy()
-    state = fresh_state(colony)
-    explore_stage(state, cfg, sphere, SPACE, rng)
+    # one round; each is redrawn after that round's batch, member 2
+    # first, and nothing touches the repair stream. In the last of two
+    # rounds the redraws come from beyond the stage's single draw; in the
+    # first of three they come from inside it, and push the later rounds
+    # past it.
+    for tumble_steps, zero_round in ((2, 1), (3, 0)):
+        cfg = AbcoConfig(size=8, step_size=0.5, explore_steps=1, tumble_steps=tumble_steps)
+        draws = RngStream(5).standard_normal((cfg.size * tumble_steps, 2))
+        rng = ZeroDirectionStream(5, draws[[cfg.size * zero_round + 5, cfg.size * zero_round + 2]])
+        colony = colony_at(*[(0.2 * i - 0.7, 0.1 * i, 0.0) for i in range(cfg.size)])
+        positions = colony.positions.copy()
+        state = fresh_state(colony)
+        explore_stage(state, cfg, sphere, SPACE, rng)
 
-    reference = RngStream(5)
-    for zero_rows in ([], [2, 5]):
-        directions = reference.standard_normal((cfg.size, 2))
-        directions[zero_rows] = 0.0
-        for row in zero_rows:
-            directions[row] = reference.standard_normal(2)
-        positions = np.array([
-            position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
-            for position, direction in zip(positions, directions)])
-    assert rng.zeroed == 2
-    assert np.array_equal(state.population.positions, positions)
-    assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
-    assert rng.repairs.bit_generator.state == RngStream(5).repairs.bit_generator.state
+        reference = RngStream(5)
+        for round_index in range(tumble_steps):
+            zero_rows = [2, 5] if round_index == zero_round else []
+            directions = reference.standard_normal((cfg.size, 2))
+            directions[zero_rows] = 0.0
+            for row in zero_rows:
+                directions[row] = reference.standard_normal(2)
+            positions = np.array([
+                position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
+                for position, direction in zip(positions, directions)])
+        assert rng.zeroed == 2
+        assert np.array_equal(state.population.positions, positions)
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+        assert rng.repairs.bit_generator.state == RngStream(5).repairs.bit_generator.state
 
 
 # --- exploit ---------------------------------------------------------------
@@ -871,8 +876,16 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
     # each side, so exploit steps leave the real box and are repaired; a
     # nan region in a third of the cases gives nan bests and rollbacks,
     # and values rounded down to halves in another third give exact ties.
-    repairs, stage_repairs = [], 0
+    repairs, stage_repairs, plans = [], 0, []
     monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    planned = abco._regeneration_plan
+
+    def recorded_plan(needed, retained, neighbour_count):
+        plan = planned(needed, retained, neighbour_count)
+        plans.append((needed, retained, cfg.neighbor_count, plan))
+        return plan
+
+    monkeypatch.setattr(abco, "_regeneration_plan", recorded_plan)
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(5_500 + case)
         width = space.upper - space.lower
@@ -901,6 +914,13 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
             stage_repairs += sum(repairs)
     if stage is exploit_stage:
         assert stage_repairs > 0
+    if stage is reproduce_stage:
+        # The cases reach k clipped to 1 by two survivors, k at or above the
+        # survivors, and guides that wrap; the cached plans are read-only.
+        assert any(retained == 2 and k > 1 for _, retained, k, _ in plans)
+        assert any(k >= retained for _, retained, k, _ in plans)
+        assert any(needed > retained for needed, retained, _, _ in plans)
+        assert not any(ranks.flags.writeable for *_, plan in plans for _, ranks in plan)
 
 
 FLUSH = abco._FLUSH_PERIOD

@@ -7,6 +7,7 @@ row. Both paths must give the same run, bit for bit.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swarmopt.abco import AbcoConfig, run_abco
@@ -95,3 +96,26 @@ def test_history_holds_one_float_per_improvement(algorithm, mode):
                        for earlier, later in zip(history, history[1:]))
     assert 0 < improvements < len(history) - 1
     assert len({id(value) for value in history}) == improvements + 1
+
+
+@pytest.mark.parametrize("algorithm", list(RUNNERS))
+@pytest.mark.parametrize("name", ["rastrigin", "ackley"])
+def test_no_optimizer_writes_to_a_batch_after_evaluating_it(name, algorithm):
+    # An evaluator may keep the batch it is passed: every array handed to
+    # the column form must still hold what it held when it was evaluated.
+    spec = spec_of(name)
+    inner, kept = spec.evaluator, []
+
+    def evaluator(point):
+        return inner(point)
+
+    def batch(rows):
+        kept.append((rows, rows.copy()))
+        return inner.batch(rows)
+
+    evaluator.batch = batch
+    runner, cfg = RUNNERS[algorithm]
+    runner(replace(spec, evaluator=evaluator), cfg, RngStream(5))
+    assert len(kept) > cfg.iterations
+    for rows, copy in kept:
+        assert np.array_equal(rows, copy)
