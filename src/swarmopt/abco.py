@@ -24,8 +24,9 @@ the positions; moved columns reach the rows still to be ranked in blocks
 row writes; only one that leaves the box is repaired, then it is evaluated.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row, and evaluates them in one
-core.evaluate_rows call; so does explore with all of a stage's rounds
-when the evaluator has a column form, up to the first non-finite value.
+core.evaluate_rows call. Explore runs one loop of chained rounds, each
+chain one core.evaluate_rows call: every round left with a column form,
+one round without; it commits up to the first round with a non-finite value.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "RunState",
     "tumble_step",
     "explore_stage",
-    "move_toward",
     "exploit_stage",
     "reproduce_stage",
     "early_stop_check",
@@ -211,20 +211,12 @@ def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.nd
     return (cfg.step_size / np.sqrt(squares))[..., None] * directions
 
 
-def move_toward(current, target, step_size: float) -> list[float]:
-    """Step from current toward target by at most step_size, never past it.
+def _step_toward(current: np.ndarray, target: np.ndarray, step_size: float) -> list[float]:
+    """Step from (d,) float64 array current toward target by at most step_size, never past it.
 
     Returns a list of floats: target once within reach, else per coordinate
     `c + step_size / distance * o`, as numpy's `current + (step_size / distance) * offset`.
     """
-    current, target = np.asarray(current, dtype=float), np.asarray(target, dtype=float)
-    if current.shape != target.shape:
-        raise ValueError(f"vector length mismatch: {current.shape} vs {target.shape}")
-    return _step_toward(current, target, step_size)
-
-
-def _step_toward(current: np.ndarray, target: np.ndarray, step_size: float) -> list[float]:
-    """move_toward on two (d,) float64 arrays, unconverted and unchecked, as exploit calls it."""
     offset = target - current
     distance = math.sqrt(offset.dot(offset))
     if distance <= step_size:
@@ -239,63 +231,57 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     strictly below the personal best's quality key as the new personal
     best, so a non-finite personal best yields to any finite value. A
     non-finite evaluation rolls the member back to where the round started.
-    Every round's steps are drawn first. A column form evaluates all
-    rounds, chained as if none rolled back, in one call, exact up to the
-    first round that holds a non-finite value. The rounds up to it commit
-    from that call; later rounds, or all after a raise, run one call each.
+    Every round's steps are drawn first. Then each pass of one loop chains
+    rounds from the colony's positions as if none rolled back (every round
+    left with a column form, else one), evaluates the chain in one call and
+    commits it up to and including its first round that holds a non-finite
+    value, where the chain stops being exact; the next pass starts after
+    that round. After a raise, the rest of the stage chains one round a pass.
     """
     colony = state.population
-    steps = _tumble_steps(cfg, len(colony), space.dim, rng)
-    start, ahead = 0, None  # the first round to commit one by one, and its rows if evaluated
-    if getattr(objective, "batch", None) is not None:
+    size = len(colony)
+    steps = _tumble_steps(cfg, size, space.dim, rng)
+    chained = getattr(objective, "batch", None) is not None
+    while len(steps):
+        rounds = steps if chained else steps[:1]
         saved = rng.repairs.bit_generator.state
-        landings, position = np.empty_like(steps), colony.positions
-        for landing, step in zip(landings, steps):
+        landings, position = np.empty_like(rounds), colony.positions
+        for landing, step in zip(landings, rounds):
             position = np.add(position, step, out=landing)
             if not (space.lower <= position.min() and position.max() <= space.upper):
                 landing[...] = repair_bounds(position, space, rng)
         try:
             values = evaluate_rows(objective, landings.reshape(-1, space.dim))
-        except Exception:  # raised again below if the rounds reach its row
-            rng.repairs.bit_generator.state = saved
-        else:
-            values, start = values.reshape(len(steps), -1), len(steps)
-            if not np.isfinite(values).all():
-                start = int(np.isfinite(values).all(axis=1).argmin())
-                rng.repairs.bit_generator.state = saved  # the same points redraw the same
-                for before, step in zip([colony.positions, *landings[:start]], steps[:start + 1]):
-                    repair_bounds(before + step, space, rng)
-                ahead, values = (landings[start], values[start]), values[:start]
-            if start:
-                # Each member's first minimum over the rounds, as strict < round by round.
-                first, members = values.argmin(axis=0), np.arange(len(colony))
-                first_values, first_landings = values[first, members], landings[first, members]
-                improved = first_values < quality_key(colony.best_values)
-                colony.positions[...], colony.values[...] = landings[start - 1], values[-1]
-                np.copyto(colony.best_positions, first_landings, where=improved[:, None])
-                np.copyto(colony.best_values, first_values, where=improved)
-                state.evaluations += values.size
-            if ahead is None:
-                return state
-    best_keys = quality_key(colony.best_values)
-    rolled_back = 0
-    for step in steps[start:]:
-        if ahead:
-            (moved, values), ahead = ahead, None
-        else:
-            moved = repair_bounds(colony.positions + step, space, rng)
-            values = evaluate_rows(objective, moved)
-        state.evaluations += len(values)
-        # Only finite rows move, and a finite value is its own key.
+        except Exception:  # raised again if a chain of one round reaches its row
+            if len(rounds) == 1:
+                raise
+            rng.repairs.bit_generator.state, chained = saved, False
+            continue
+        values = values.reshape(len(rounds), size)
         finite = np.isfinite(values)
-        improved = finite & (values < best_keys)
-        rolled_back += len(values) - int(np.count_nonzero(finite))
-        np.copyto(colony.positions, moved, where=finite[:, None])
-        np.copyto(colony.values, values, where=finite)
-        np.copyto(colony.best_positions, moved, where=improved[:, None])
-        np.copyto(colony.best_values, values, where=improved)
-        np.copyto(best_keys, values, where=improved)
-    _tally(state.diagnostics, rolled_back_moves=rolled_back)
+        last, keys = len(rounds) - 1, values
+        if not finite.all():
+            last = int(finite.all(axis=1).argmin())
+            keys = quality_key(values[:last + 1])
+            if last < len(rounds) - 1:
+                rng.repairs.bit_generator.state = saved  # the same points redraw the same
+                for before, step in zip([colony.positions, *landings[:last]], rounds[:last + 1]):
+                    repair_bounds(before + step, space, rng)
+        # Each member's first minimum over the rounds, as strict < round by round.
+        first, members = keys.argmin(axis=0), np.arange(size)
+        improved = keys[first, members] < quality_key(colony.best_values)
+        np.copyto(colony.best_positions, landings[first, members], where=improved[:, None])
+        np.copyto(colony.best_values, values[first, members], where=improved)
+        if finite[last].all():
+            colony.positions[...], colony.values[...] = landings[last], values[last]
+        else:  # a non-finite row stays where the round started
+            if last:
+                colony.positions[...], colony.values[...] = landings[last - 1], values[last - 1]
+            np.copyto(colony.positions, landings[last], where=finite[last, :, None])
+            np.copyto(colony.values, values[last], where=finite[last])
+            _tally(state.diagnostics, rolled_back_moves=size - int(np.count_nonzero(finite[last])))
+        state.evaluations += (last + 1) * size
+        steps = steps[last + 1:]
     return state
 
 

@@ -163,16 +163,21 @@ def evaluate_rows(evaluator, rows) -> np.ndarray:
     An evaluator may carry a column form as its `batch` attribute, taking
     the (m, d) matrix and returning what m calls in row order would, bit
     for bit; the registry's evaluators do. It must be pure, the same rows
-    giving the same values with no side effects: explore may evaluate
-    landings it then discards, after a non-finite value or a raise. An
+    giving the same values with no side effects: explore evaluates a chain
+    of rounds in one call and discards its landings past the first round
+    with a non-finite value, or all of them after a raise. An
     evaluator may keep the batch it is passed: no optimizer writes to it
     afterwards. Without a column form, and so for any wrapped evaluator,
-    every row is one call, in row order.
+    every row is one call, in row order. A column form's values must have
+    shape (m,), or ValueError is raised.
     """
     batch = getattr(evaluator, "batch", None)
     if batch is None:
         return np.array([float(evaluator(row)) for row in rows])
-    return np.asarray(batch(rows), dtype=float)
+    values = np.asarray(batch(rows), dtype=float)
+    if values.shape != (len(rows),):
+        raise ValueError(f"column form returned shape {values.shape}, expected ({len(rows)},)")
+    return values
 
 
 def quality_key(value):

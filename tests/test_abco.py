@@ -17,7 +17,6 @@ from swarmopt.abco import (
     early_stop_check,
     exploit_stage,
     explore_stage,
-    move_toward,
     reproduce_stage,
     run_abco,
     tumble_step,
@@ -118,26 +117,15 @@ def test_checkpoint_period():
 # --- movement primitives ---------------------------------------------------
 
 def test_move_toward_unit_step():
-    assert np.allclose(move_toward((0.0, 0.0), (3.0, 0.0), 1.0), (1.0, 0.0))
+    assert np.allclose(abco._step_toward(np.zeros(2), np.array([3.0, 0.0]), 1.0), (1.0, 0.0))
 
 
 def test_move_toward_lands_without_overshoot():
-    assert np.array_equal(move_toward((0.0, 0.0), (0.5, 0.0), 1.0), (0.5, 0.0))
+    assert np.array_equal(abco._step_toward(np.zeros(2), np.array([0.5, 0.0]), 1.0), (0.5, 0.0))
 
 
 def test_move_toward_identity():
-    assert np.array_equal(move_toward((2.0, 2.0), (2.0, 2.0), 1.0), (2.0, 2.0))
-
-
-def test_move_toward_rejects_a_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        move_toward(np.zeros(2), np.zeros(1), 1.0)
-
-
-def test_move_toward_returns_floats_for_integer_inputs():
-    for target in ([1, 0], [3, 4]):
-        moved = move_toward([0, 0], np.array(target), 1.0)
-        assert all(type(x) is float for x in moved), moved
+    assert np.array_equal(abco._step_toward(np.full(2, 2.0), np.full(2, 2.0), 1.0), (2.0, 2.0))
 
 
 def test_move_toward_is_numpys_step_bit_for_bit():
@@ -157,7 +145,7 @@ def test_move_toward_is_numpys_step_bit_for_bit():
             step = distance if case == 1 else float(rng.uniform(0.01, 3.0))
             reaches = distance <= step
             expected = target if reaches else current + (step / distance) * offset
-            moved = move_toward(current, target, step)
+            moved = abco._step_toward(current, target, step)
             assert type(moved) is list and all(type(x) is float for x in moved)
             assert np.array(moved).tobytes() == expected.tobytes(), (dim, case)
             branches[reaches] += 1
@@ -165,7 +153,7 @@ def test_move_toward_is_numpys_step_bit_for_bit():
 
 
 def test_dot_norm_equals_matmul_norm():
-    # move_toward's offset.dot(offset) is the BLAS call that offset @ offset
+    # _step_toward's offset.dot(offset) is the BLAS call that offset @ offset
     # makes, so the norms agree bit for bit under the running kernel.
     rng = np.random.default_rng(43)
     for dim in range(1, 11):
@@ -182,7 +170,7 @@ def test_move_toward_never_passes_target():
         current = rng.uniform(-5, 5, 3)
         target = rng.uniform(-5, 5, 3)
         step = float(rng.uniform(0.01, 3.0))
-        moved = move_toward(current, target, step)
+        moved = abco._step_toward(current, target, step)
         before = np.linalg.norm(target - current)
         after = np.linalg.norm(target - moved)
         assert after <= before + 1e-12
@@ -260,7 +248,7 @@ def one_tumble_step_per_member(positions, cfg, space, rng):
 
 def with_column_form(evaluator):
     """`evaluator` carrying a column form built from its row calls, so
-    explore_stage takes its run-ahead path."""
+    explore_stage chains every round left in one call."""
     def point_form(point):
         return evaluator(point)
 
@@ -283,8 +271,8 @@ def snapshot(state, rng):
 
 def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
     # step_size reaches 1.5 box widths, so many tumbles leave the box and
-    # are repaired; a nan region adds rollbacks, which send the run-ahead
-    # path back to the round-by-round one. Each case runs with the plain
+    # are repaired; a nan region adds rollbacks, which end a chain at the
+    # round that holds one. Each case runs with the plain
     # evaluator and with a column form. Only the plain run counts the rows
     # it repairs.
     repairs, tumbles, fallbacks = [], 0, 0
@@ -359,7 +347,7 @@ def test_explore_evaluates_an_all_finite_stage_in_one_column_call(monkeypatch):
         assert explore(column_form) == expected, (name, dim)
         assert calls == [cfg.size * cfg.explore_steps * cfg.tumble_steps] * 3
         assert "rolled_back_moves" not in expected[4]
-        # The run-ahead path repairs only rounds that left the box.
+        # A chain repairs only rounds that left the box.
         assert all(repairs), (name, dim)
         repaired += len(repairs)
         rounds += len(calls) * cfg.explore_steps * cfg.tumble_steps
@@ -423,15 +411,15 @@ def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do()
 
 def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
     # nan and inf at a third of one round's landings: the rounds up to that
-    # one are evaluated only in the run-ahead call and committed from it,
-    # each later round once more in a call of its own, and the stage ends
+    # one are evaluated only in the first chain's call and committed from it,
+    # the later rounds once more in one chained call, and the stage ends
     # as the round-by-round path does, repair stream included.
     space = SearchSpace(3, -2.0, 2.0)
 
     def key(point):
         return np.asarray(point, dtype=float).tobytes()
 
-    rechained = 0
+    rechained = twice = 0
     for case in range(30):
         draw = np.random.default_rng(900 + case)
         cfg = AbcoConfig(size=int(draw.integers(2, 20)), step_size=float(draw.uniform(0.2, 3.0)),
@@ -458,22 +446,32 @@ def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
             return snapshot(state, rng)
 
         explore(counting(sphere))
-        chain, bad = calls[0], case % rounds
-        holes = {row: math.nan if member % 2 else math.inf
-                 for member, row in enumerate(chain[bad * size:(bad + 1) * size]) if member % 3 == 0}
+        chain, first, bad = calls[0], 0, case % rounds  # first: the round the chain starts at
+        prefix, holes, shape = chain[: (bad + 1) * size], {}, [rounds * size]
+        rechained += rounds - bad - 1
 
         def holed(p):
             return holes.get(key(p), sphere(p))
 
-        expected = explore(holed)
-        calls.clear()
-        assert explore(counting(holed)) == expected, case
-        assert expected[4] == {"rolled_back_moves": len(holes)}, case
-        assert [len(rows) for rows in calls] == [rounds * size] + [size] * (rounds - bad - 1)
-        evaluated = Counter(row for rows in calls for row in rows)
-        assert all(evaluated[row] == 1 for row in chain[: (bad + 1) * size]), case
-        rechained += rounds - bad - 1
-    assert rechained > 10
+        # Then, if rounds follow the holed one, holes in a later round of the
+        # chain they run in as well, so the loop chains again twice.
+        for _ in range(2):
+            rows = chain[(bad - first) * size:(bad - first + 1) * size]
+            holes.update({row: math.nan if member % 2 else math.inf
+                          for member, row in enumerate(rows) if member % 3 == 0})
+            expected = explore(holed)
+            calls.clear()
+            assert explore(counting(holed)) == expected, case
+            assert expected[4] == {"rolled_back_moves": len(holes)}, case
+            shape += [(rounds - bad - 1) * size] * (bad < rounds - 1)
+            assert [len(rows) for rows in calls] == shape, case
+            evaluated = Counter(row for rows in calls for row in rows)
+            assert all(evaluated[row] == 1 for row in prefix), case
+            if bad == rounds - 1:
+                break
+            chain, first, bad = calls[-1], bad + 1, min(bad + 1 + case % 2, rounds - 1)
+        twice += len(shape) == 3
+    assert rechained > 10 and twice > 3
 
 
 def test_explore_round_repairs_row_major_on_the_repair_stream():
@@ -595,7 +593,7 @@ def test_exploit_queries_positions_moved_earlier_in_the_pass():
     state = fresh_state(colony)
     exploit_stage(state, cfg, lambda p: 3.0, SPACE, RngStream(1))
     assert np.array_equal(colony.positions[0], (1.0, 0.0))
-    expected = move_toward((0.8, -1.9), (1.0, 0.0), cfg.step_size)
+    expected = abco._step_toward(np.array([0.8, -1.9]), np.array([1.0, 0.0]), cfg.step_size)
     assert np.array_equal(colony.positions[1], expected)
     assert colony.best_values[1] == 3.0
 
@@ -803,7 +801,7 @@ def reference_explore(state, cfg, objective, space, rng):
 
 def reference_exploit(state, cfg, objective, space, rng):
     """The exploit pass member by member: k_nearest, quality_key
-    comparisons, move_toward, repair_bounds, then evaluate."""
+    comparisons, _step_toward, repair_bounds, then evaluate."""
     colony = state.population
     for _ in range(cfg.exploit_steps):
         for index in range(len(colony)):
@@ -815,8 +813,8 @@ def reference_exploit(state, cfg, objective, space, rng):
             if target_index is None:
                 continue
             target = colony.best_positions[target_index]
-            moved = repair_bounds(move_toward(colony.positions[index], target, cfg.step_size),
-                                  space, rng)
+            moved = repair_bounds(
+                abco._step_toward(colony.positions[index], target, cfg.step_size), space, rng)
             value = float(objective(moved))
             state.evaluations += 1
             if not math.isfinite(value):
@@ -907,8 +905,8 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
             return snapshot(state, rng)
 
         expected = run(reference, holed)
-        # With a column form explore runs its rounds ahead, or falls back
-        # to them one by one after a nan.
+        # With a column form explore chains every round left, and chains
+        # again after a nan.
         for objective in (holed, with_column_form(holed)):
             assert run(stage, objective) == expected, case
             stage_repairs += sum(repairs)

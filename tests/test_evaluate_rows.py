@@ -119,3 +119,19 @@ def test_no_optimizer_writes_to_a_batch_after_evaluating_it(name, algorithm):
     assert len(kept) > cfg.iterations
     for rows, copy in kept:
         assert np.array_equal(rows, copy)
+
+
+@pytest.mark.parametrize("algorithm", list(RUNNERS))
+def test_a_column_form_of_the_wrong_shape_is_refused(algorithm):
+    # One value for m rows would broadcast into PSO's swarm unnoticed.
+    spec = spec_of("sphere")
+    inner = spec.evaluator
+
+    def evaluator(point):
+        return inner(point)
+
+    evaluator.batch = lambda rows: inner.batch(rows)[:1]
+    runner, cfg = RUNNERS[algorithm]
+    cfg = replace(cfg, size=10, iterations=5)
+    with pytest.raises(ValueError, match=r"shape \(1,\), expected \(10,\)"):
+        runner(replace(spec, evaluator=evaluator), cfg, RngStream(1))
