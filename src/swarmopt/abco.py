@@ -147,14 +147,6 @@ class Colony:
     def __len__(self) -> int:
         return len(self.values)
 
-    def take(self, rows) -> Colony:
-        """A copy holding the members at `rows`, in that order."""
-        return Colony(*(array[rows] for array in vars(self).values()))
-
-    def concat(self, other: Colony) -> Colony:
-        """A copy holding this colony's members, then other's."""
-        return Colony(*map(np.concatenate, zip(vars(self).values(), vars(other).values())))
-
 
 @dataclass
 class RunState(Run):
@@ -402,11 +394,15 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
     their personal-best memory from their own birth position. Which ranks
     each replacement averages, and their weights, depend only on (needed,
     retained, k), so _regeneration_plan builds them once per shape and
-    caches them, their index arrays read-only.
+    caches them, their index arrays read-only. Every caller passes a colony
+    of cfg.size members, as seeding makes it, and the stage keeps them in
+    place: survivors go to the front rows of each array, replacements after.
     """
-    ranked = np.argsort(quality_key(state.population.values), kind="stable")
-    survivors = state.population.take(ranked[: cfg.survivor_count])
-    retained = len(survivors)
+    colony = state.population
+    kept = np.argsort(quality_key(colony.values), kind="stable")[: cfg.survivor_count]
+    retained = len(kept)
+    for array in vars(colony).values():
+        array[:retained] = array[kept]
     needed = cfg.size - retained
     if needed > 0:
         if retained == 1:
@@ -417,11 +413,12 @@ def reproduce_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> 
             plan = _regeneration_plan(needed, retained, min(cfg.neighbor_count, retained - 1))
             positions = np.zeros((needed, space.dim))
             for weight, ranks in plan:
-                positions += weight * survivors.positions[ranks]
+                positions += weight * colony.positions[ranks]
             values = evaluate_rows(objective, positions)
         state.evaluations += needed
-        survivors = survivors.concat(Colony.fresh(positions, values))
-    state.population = survivors
+        born = slice(retained, None)
+        colony.positions[born] = colony.best_positions[born] = positions
+        colony.values[born] = colony.best_values[born] = colony.snapshot[born] = values
     return state
 
 

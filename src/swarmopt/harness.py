@@ -36,10 +36,11 @@ vs baselines 100) along with presets/abco.json, the colony parameters tuned
 for himmelblau and sphere.
 
 Runs are independent and may execute in parallel; SWARM_OPT_THREADS caps the
-worker count (0 or unset picks the CPU count). Determinism does not depend
-on scheduling: each run's seed is derived up front from (base_seed,
-function, algorithm, run_index) and records are sorted into canonical
-function-major order before any output.
+worker count (0 or unset picks the CPU count, and a negative count raises
+ConfigurationError). Determinism does not depend on scheduling: each run's
+seed is derived up front from (base_seed, function, algorithm, run_index)
+and records are sorted into canonical function-major order before any
+output.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ _FIELDS = {
     cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
     for cls in _CONFIG_CLASSES.values()
 }
-ABCO_KEYS = {key: f.name for key, f in _FIELDS[AbcoConfig].items()}
 
 
 @dataclass
@@ -383,7 +383,9 @@ def _worker_count(task_count: int) -> int:
     except ValueError:
         raise ConfigurationError(
             f"SWARM_OPT_THREADS must be an integer, got {raw!r}") from None
-    if cap <= 0:
+    if cap < 0:
+        raise ConfigurationError(f"SWARM_OPT_THREADS must be 0 or more, got {raw!r}")
+    if cap == 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, task_count))
 

@@ -13,7 +13,6 @@ from swarmopt import abco
 from swarmopt.abco import (
     AbcoConfig,
     Colony,
-    RunState,
     early_stop_check,
     exploit_stage,
     explore_stage,
@@ -29,42 +28,36 @@ from swarmopt.core import (
     SearchSpace,
     derive_seed,
     euclidean,
-    k_nearest,
     minimised,
-    quality_key,
     rank_neighbours,
-    repair_bounds,
     seed_population,
 )
-from swarmopt.harness import ABCO_KEYS, abco_preset
-from test_acceptance import member_rows, stage_case
-from test_core import counting_repairs, inside, repaired_row_major
+from oracle import (
+    adhoc_objective,
+    colony_at,
+    counting_repairs,
+    distances,
+    fresh_state,
+    inside,
+    member_rows,
+    move_step,
+    neighbour_layouts,
+    neighbour_order,
+    preset_colony,
+    reference_exploit,
+    reference_explore,
+    reference_reproduce,
+    seeded,
+    snapshot,
+    sphere,
+    squared_norm,
+    stage_case,
+    survivors,
+    tumble_round,
+    with_column_form,
+)
 
 SPACE = SearchSpace(2, -5.0, 5.0)
-
-
-def sphere(p):
-    return float(np.dot(p, p))
-
-
-def colony_at(*members):
-    """A colony of (x, y, value) members whose memory is where they stand."""
-    rows = np.array(members, dtype=float).reshape(-1, 3)
-    return Colony.fresh(rows[:, :2].copy(), rows[:, 2].copy())
-
-
-def seeded(space, size, objective, rng):
-    return Colony.fresh(*seed_population(space, size, objective, rng))
-
-
-def fresh_state(colony):
-    best = int(quality_key(colony.best_values).argmin())
-    return RunState(
-        population=colony,
-        iteration=1,
-        global_best_value=float(colony.best_values[best]),
-        global_best_position=colony.best_positions[best].copy(),
-    )
 
 
 # --- configuration ---------------------------------------------------------
@@ -129,8 +122,7 @@ def test_move_toward_identity():
 
 
 def test_move_toward_is_numpys_step_bit_for_bit():
-    # The reference is the array form: target within reach, else
-    # current + (step / d) * offset with d from offset @ offset.
+    # The reference is the oracle's move_step, in both of its branches.
     rng = np.random.default_rng(41)
     branches = {True: 0, False: 0}
     for dim in range(1, 11):
@@ -140,27 +132,26 @@ def test_move_toward_is_numpys_step_bit_for_bit():
             target = current + scale * rng.uniform(-1.0, 1.0, dim)
             if case == 0:
                 target = current.copy()
-            offset = target - current
-            distance = math.sqrt(offset @ offset)
+            distance = math.sqrt(squared_norm(target - current))
             step = distance if case == 1 else float(rng.uniform(0.01, 3.0))
             reaches = distance <= step
-            expected = target if reaches else current + (step / distance) * offset
             moved = abco._step_toward(current, target, step)
             assert type(moved) is list and all(type(x) is float for x in moved)
-            assert np.array(moved).tobytes() == expected.tobytes(), (dim, case)
+            assert np.array(moved).tobytes() == np.array(
+                move_step(current, target, step)).tobytes(), (dim, case)
             branches[reaches] += 1
     assert min(branches.values()) > 500
 
 
 def test_dot_norm_equals_matmul_norm():
-    # _step_toward's offset.dot(offset) is the BLAS call that offset @ offset
-    # makes, so the norms agree bit for bit under the running kernel.
+    # _step_toward's offset.dot(offset) is the BLAS call that the oracle's
+    # squared_norm, offset @ offset, makes: they agree bit for bit.
     rng = np.random.default_rng(43)
     for dim in range(1, 11):
         scales = 10.0 ** rng.uniform(-4.0, 2.0, (5000, 1))
         offsets = scales * rng.uniform(-1.0, 1.0, (5000, dim))
         dots = np.array([offset.dot(offset) for offset in offsets])
-        matmuls = np.array([offset @ offset for offset in offsets])
+        matmuls = np.array([squared_norm(offset) for offset in offsets])
         assert dots.tobytes() == matmuls.tobytes(), dim
 
 
@@ -241,34 +232,6 @@ def test_explore_rolls_back_non_finite():
     assert (np.abs(state.population.positions[:, 0]) >= 0.5).all()
 
 
-def one_tumble_step_per_member(positions, cfg, space, rng):
-    """The reference draw order for a round: tumble_step per member."""
-    return np.array([tumble_step(position, cfg, space, rng) for position in positions])
-
-
-def with_column_form(evaluator):
-    """`evaluator` carrying a column form built from its row calls, so
-    explore_stage chains every round left in one call."""
-    def point_form(point):
-        return evaluator(point)
-
-    point_form.batch = lambda rows: np.array([float(evaluator(row)) for row in rows])
-    return point_form
-
-
-def snapshot(state, rng):
-    colony = state.population
-    return (
-        colony.positions.tobytes(),
-        colony.best_positions.tobytes(),
-        np.column_stack((colony.values, colony.best_values, colony.snapshot)).tobytes(),
-        state.evaluations,
-        state.diagnostics,
-        rng.generator.bit_generator.state,
-        rng.repairs.bit_generator.state,
-    )
-
-
 def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypatch):
     # step_size reaches 1.5 box widths, so many tumbles leave the box and
     # are repaired; a nan region adds rollbacks, which end a chain at the
@@ -276,7 +239,6 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
     # evaluator and with a column form. Only the plain run counts the rows
     # it repairs.
     repairs, tumbles, fallbacks = [], 0, 0
-    counted = counting_repairs(repairs)
     for case in range(60):
         space, evaluator, cfg, _ = stage_case(4_400 + case)
         cut = space.upper - (space.upper - space.lower) / 8
@@ -292,8 +254,9 @@ def test_explore_batches_draw_the_stream_of_one_tumble_step_per_member(monkeypat
 
         reference = explore(reference_explore, holed)
         with monkeypatch.context() as patch:
-            patch.setattr(abco, "repair_bounds", counted)
+            counts = counting_repairs(patch, abco)
             assert explore(explore_stage, holed) == reference, case
+        repairs += counts
         assert explore(explore_stage, with_column_form(holed)) == reference, case
         fallbacks += "rolled_back_moves" in reference[4]
         tumbles += cfg.size * cfg.explore_steps * cfg.tumble_steps
@@ -309,8 +272,7 @@ def test_explore_evaluates_an_all_finite_stage_in_one_column_call(monkeypatch):
     # in both modes, with steps from 1e-4 to 1.6 box widths so that some
     # rounds leave the box and some do not. The round-by-round path is the
     # same evaluator without its column form.
-    repairs, repaired, rounds = [], 0, 0
-    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    repairs, repaired, rounds = counting_repairs(monkeypatch, abco), 0, 0
     cases = [(name, dim) for name in SUM_FORMS for dim in range(1 + (name == "rosenbrock"), 7)]
     cases += [(name, 2) for name in list_functions() if name not in SUM_FORMS]
     for case, (name, dim) in enumerate(cases):
@@ -354,6 +316,10 @@ def test_explore_evaluates_an_all_finite_stage_in_one_column_call(monkeypatch):
     assert 0.1 * rounds < repaired < 0.9 * rounds
 
 
+def point_key(point):
+    return np.asarray(point, dtype=float).tobytes()
+
+
 def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do():
     # nan at a third of the members' round-1 landings rolls those members
     # back, so the run-ahead chain tumbles on from points the round-by-round
@@ -362,9 +328,6 @@ def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do()
     # as the round-by-round path does.
     space = SearchSpace(3, -2.0, 2.0)
     cfg = AbcoConfig(size=12, step_size=1.5, explore_steps=2, tumble_steps=2)
-
-    def key(point):
-        return np.asarray(point, dtype=float).tobytes()
 
     def explore(objective):
         rng = RngStream(31)
@@ -375,20 +338,20 @@ def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do()
             outcome.append(snapshot(state, rng))
 
     outcome, chain, seen = [], [], []
-    explore(with_column_form(lambda p: chain.append(key(p)) or sphere(p)))
+    explore(with_column_form(lambda p: chain.append(point_key(p)) or sphere(p)))
     holes = set(chain[: cfg.size : 3])
 
     def holed(p):
-        return math.nan if key(p) in holes else sphere(p)
+        return math.nan if point_key(p) in holes else sphere(p)
 
-    explore(lambda p: seen.append(key(p)) or holed(p))
+    explore(lambda p: seen.append(point_key(p)) or holed(p))
     expected = outcome[-1]
     only_ahead = set(chain) - set(seen)
     assert len(chain) == 4 * cfg.size and len(seen) == len(chain)
     assert expected[4] == {"rolled_back_moves": 4} and only_ahead
 
     def trapped(p):
-        if key(p) in only_ahead:
+        if point_key(p) in only_ahead:
             raise OverflowError("a row only the run-ahead chain reaches")
         return holed(p)
 
@@ -398,7 +361,7 @@ def test_explore_falls_back_exactly_past_a_nan_and_raises_only_where_rounds_do()
     # stop in the same state; with no nan the run-ahead call itself raises.
     for base, last in ((holed, seen[-1]), (sphere, chain[-1])):
         def failing(p, base=base, last=last):
-            if key(p) == last:
+            if point_key(p) == last:
                 raise OverflowError("a row every path reaches")
             return base(p)
 
@@ -416,9 +379,6 @@ def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
     # as the round-by-round path does, repair stream included.
     space = SearchSpace(3, -2.0, 2.0)
 
-    def key(point):
-        return np.asarray(point, dtype=float).tobytes()
-
     rechained = twice = 0
     for case in range(30):
         draw = np.random.default_rng(900 + case)
@@ -433,7 +393,7 @@ def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
                 return evaluator(point)
 
             def column_form(rows):
-                calls.append([key(row) for row in rows])
+                calls.append([point_key(row) for row in rows])
                 return np.array([float(evaluator(row)) for row in rows])
 
             point_form.batch = column_form
@@ -451,7 +411,7 @@ def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
         rechained += rounds - bad - 1
 
         def holed(p):
-            return holes.get(key(p), sphere(p))
+            return holes.get(point_key(p), sphere(p))
 
         # Then, if rounds follow the holed one, holes in a later round of the
         # chain they run in as well, so the loop chains again twice.
@@ -474,9 +434,9 @@ def test_explore_keeps_the_exact_prefix_before_a_non_finite_round():
     assert rechained > 10 and twice > 3
 
 
-def test_explore_round_repairs_row_major_on_the_repair_stream():
+def test_explore_round_repairs_row_major_on_the_repair_stream(monkeypatch):
     # A step of up to a box width sends many rows of the round outside.
-    repaired_rows = 0
+    repaired_rows = counting_repairs(monkeypatch, abco)
     for case in range(40):
         draw = np.random.default_rng(9_100 + case)
         dim, size = int(draw.integers(1, 7)), int(draw.integers(2, 40))
@@ -490,15 +450,11 @@ def test_explore_round_repairs_row_major_on_the_repair_stream():
                       lambda p: seen.append(p.copy()) or 1.0, space, rng)
 
         reference = RngStream(case)
-        directions = reference.generator.standard_normal((size, dim))
-        steps = [position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
-                 for position, direction in zip(positions, directions)]
-        expected = repaired_row_major(steps, space, reference.repairs)
-        assert np.array_equal(seen, expected), case
+        expected = tumble_round(positions, cfg.step_size, space, reference)
+        assert np.array(seen).tobytes() == expected.tobytes(), case
         assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
         assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
-        repaired_rows += int((expected != np.array(steps)).any(axis=1).sum())
-    assert repaired_rows > 200
+    assert sum(repaired_rows) > 200
 
 
 class ZeroDirectionStream(RngStream):
@@ -542,7 +498,7 @@ def test_explore_redraws_zero_directions_after_the_batch_in_row_order():
             for row in zero_rows:
                 directions[row] = reference.standard_normal(2)
             positions = np.array([
-                position + (cfg.step_size / math.sqrt(direction @ direction)) * direction
+                position + (cfg.step_size / math.sqrt(squared_norm(direction))) * direction
                 for position, direction in zip(positions, directions)])
         assert rng.zeroed == 2
         assert np.array_equal(state.population.positions, positions)
@@ -593,7 +549,7 @@ def test_exploit_queries_positions_moved_earlier_in_the_pass():
     state = fresh_state(colony)
     exploit_stage(state, cfg, lambda p: 3.0, SPACE, RngStream(1))
     assert np.array_equal(colony.positions[0], (1.0, 0.0))
-    expected = abco._step_toward(np.array([0.8, -1.9]), np.array([1.0, 0.0]), cfg.step_size)
+    expected = move_step([0.8, -1.9], [1.0, 0.0], cfg.step_size)
     assert np.array_equal(colony.positions[1], expected)
     assert colony.best_values[1] == 3.0
 
@@ -616,14 +572,6 @@ def test_population_of_one_warns_once_per_run(caplog):
     assert result.diagnostics["exploit_skipped"] == result.iterations_executed
 
 
-def neighbour_layouts(size, dim, rng):
-    """Uniform rows, rows repeating a few points, and integer-grid rows."""
-    uniform = rng.uniform(-5.0, 5.0, (size, dim))
-    repeated = uniform[rng.integers(0, max(1, size // 3), size)]
-    grid = rng.integers(-2, 3, (size, dim)).astype(float)
-    return uniform, repeated, grid
-
-
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_distance_matrix_and_ranking_match_k_nearest(dim):
     # At 400 rows the matrix crosses a block boundary in every dimension;
@@ -636,30 +584,13 @@ def test_distance_matrix_and_ranking_match_k_nearest(dim):
     for size in (2, 3, 25, 400):
         subjects = sorted(edges | {*range(0, size, 5), size - 1}) if size == 400 else range(size)
         for positions in neighbour_layouts(size, dim, rng):
-            distances = abco._distance_matrix(positions.T)
+            matrix = abco._distance_matrix(positions.T)
             for subject in subjects:
-                everyone = k_nearest(positions, subject, size - 1)
-                row = np.zeros(size)
-                row[[index for index, _ in everyone]] = [d for _, d in everyone]
-                assert np.array_equal(distances[subject], row), (size, subject)
+                row = distances(positions, subject)
+                assert matrix[subject].tobytes() == np.array(row).tobytes(), (size, subject)
+                order = neighbour_order(row, subject, size)
                 for k in (1, 2, size):
-                    assert rank_neighbours(distances[subject].copy(), subject, k) == [
-                        index for index, _ in k_nearest(positions, subject, k)]
-
-
-def reference_distances(positions, subject):
-    """Distances from member `subject` to every member, on Python floats:
-    the squared coordinate differences added in coordinate order, then
-    math.sqrt."""
-    points = positions.tolist()
-    p = points[subject]
-    distances = []
-    for q in points:
-        s = 0.0
-        for c in range(len(p)):
-            s += (q[c] - p[c]) * (q[c] - p[c])
-        distances.append(math.sqrt(s))
-    return np.array(distances)
+                    assert rank_neighbours(matrix[subject].copy(), subject, k) == order[:k]
 
 
 def einsum_distances(positions, subject):
@@ -669,12 +600,12 @@ def einsum_distances(positions, subject):
 
 @pytest.mark.parametrize("dim", range(1, 11))
 def test_distances_add_squares_in_coordinate_order(dim, monkeypatch):
-    # Checked bit for bit: k_nearest's distances, every row of the pass
-    # matrix, and every row exploit ranks by, refreshed columns included.
-    # For d <= 2 one addition of two rounded squares gives the same bits
-    # in any order, so einsum's kernel agrees there too.
+    # Checked bit for bit: every row of the pass matrix, and every row
+    # exploit ranks by, refreshed columns included. For d <= 2 one addition
+    # of two rounded squares gives the same bits in any order, so einsum's
+    # kernel agrees there too.
     def expected(positions, subject):
-        reference = reference_distances(positions, subject)
+        reference = np.array(distances(positions, subject))
         if dim <= 2:
             assert einsum_distances(positions, subject).tobytes() == reference.tobytes()
         return reference.tobytes()
@@ -694,10 +625,6 @@ def test_distances_add_squares_in_coordinate_order(dim, monkeypatch):
         matrix = abco._distance_matrix(positions.T.copy())
         for subject in range(size):
             assert matrix[subject].tobytes() == expected(positions, subject)
-            row = np.zeros(size)
-            for index, distance in k_nearest(positions, subject, size - 1):
-                row[index] = distance
-            assert row.tobytes() == expected(positions, subject)
         colony = Colony.fresh(positions.copy(), np.array([sphere(p) for p in positions]))
         state = fresh_state(colony)
         ranked.clear()
@@ -723,17 +650,11 @@ def test_reproduce_keeps_exactly_the_best():
     cfg = AbcoConfig(size=12, survivor_fraction=0.5, neighbor_count=3)
     rng = RngStream(41)
     colony = seeded(SPACE, cfg.size, sphere, rng)
-    values = colony.values.tolist()
-    oracle = sorted(
-        range(len(colony)),
-        key=lambda i: (quality_key(values[i]), i),
-    )[: cfg.survivor_count]
     rows = member_rows(colony)
-    expected = [rows[i] for i in oracle]
+    expected = [rows[i] for i in survivors(colony.values, cfg.survivor_count)]
     state = fresh_state(colony)
     reproduce_stage(state, cfg, sphere, SPACE, rng)
-    survivors = member_rows(state.population)[: cfg.survivor_count]
-    assert survivors == expected
+    assert member_rows(state.population)[: cfg.survivor_count] == expected
 
 
 def test_reproduce_replacements_start_fresh():
@@ -773,97 +694,6 @@ def test_reproduce_single_survivor_reseeds():
 
 # --- stage equivalence -----------------------------------------------------
 
-def _bump(diagnostics, name):
-    diagnostics[name] = diagnostics.get(name, 0) + 1
-
-
-def reference_explore(state, cfg, objective, space, rng):
-    """The explore pass member by member after each tumble round: evaluate,
-    roll back a non-finite value, then compare quality keys as floats."""
-    colony = state.population
-    for _ in range(cfg.explore_steps):
-        for _ in range(cfg.tumble_steps):
-            rows = one_tumble_step_per_member(colony.positions, cfg, space, rng)
-            for index, moved in enumerate(rows):
-                value = float(objective(moved))
-                state.evaluations += 1
-                if not math.isfinite(value):
-                    _bump(state.diagnostics, "rolled_back_moves")
-                    continue
-                colony.positions[index] = moved
-                colony.values[index] = value
-                gain = quality_key(float(colony.best_values[index])) - quality_key(value)
-                if gain > 0.0:
-                    colony.best_values[index] = value
-                    colony.best_positions[index] = moved
-    return state
-
-
-def reference_exploit(state, cfg, objective, space, rng):
-    """The exploit pass member by member: k_nearest, quality_key
-    comparisons, _step_toward, repair_bounds, then evaluate."""
-    colony = state.population
-    for _ in range(cfg.exploit_steps):
-        for index in range(len(colony)):
-            target_index, target_value = None, float(colony.best_values[index])
-            for neighbour_index, _ in k_nearest(colony.positions, index, cfg.neighbor_count):
-                candidate = float(colony.best_values[neighbour_index])
-                if quality_key(candidate) < quality_key(target_value):
-                    target_index, target_value = neighbour_index, candidate
-            if target_index is None:
-                continue
-            target = colony.best_positions[target_index]
-            moved = repair_bounds(
-                abco._step_toward(colony.positions[index], target, cfg.step_size), space, rng)
-            value = float(objective(moved))
-            state.evaluations += 1
-            if not math.isfinite(value):
-                _bump(state.diagnostics, "rolled_back_moves")
-                continue
-            colony.positions[index] = moved
-            colony.values[index] = value
-            _bump(state.diagnostics, "exploit_moves")
-            if quality_key(value) < quality_key(float(colony.best_values[index])):
-                colony.best_values[index] = value
-                colony.best_positions[index] = moved
-    return state
-
-
-def reference_reproduce(state, cfg, objective, space, rng):
-    """Reproduction building and evaluating one replacement row at a time,
-    and assembling the new colony one member record at a time."""
-    colony = state.population
-    values = colony.values.tolist()
-    survivors = sorted(range(len(colony)), key=lambda i: quality_key(values[i]))
-    survivors = survivors[: cfg.survivor_count]
-    retained = len(survivors)
-    needed = cfg.size - retained
-    born = []
-    if needed > 0 and retained == 1:
-        positions, born_values = seed_population(space, needed, objective, rng)
-        born = list(zip(positions, born_values))
-        state.evaluations += needed
-    elif needed > 0:
-        count = min(cfg.neighbor_count, retained - 1)
-        total = count * (count + 1) / 2.0
-        for i in range(needed):
-            guide = i % retained
-            start = min(max(guide - (count + 1) // 2, 0), retained - 1 - count)
-            chosen = [j for j in range(start, start + count + 1) if j != guide]
-            position = np.zeros(space.dim)
-            for rank, j in enumerate(chosen, start=1):
-                weight = (count - rank + 1) / total
-                position += weight * colony.positions[survivors[j]]
-            value = float(objective(position))
-            state.evaluations += 1
-            born.append((position, value))
-    records = [(colony.positions[i], colony.values[i], colony.best_positions[i],
-                colony.best_values[i], colony.snapshot[i]) for i in survivors]
-    records += [(position, value, position.copy(), value, value) for position, value in born]
-    state.population = Colony(*(np.array(column) for column in zip(*records)))
-    return state
-
-
 @pytest.mark.parametrize("stage, reference", [
     (explore_stage, reference_explore),
     (exploit_stage, reference_exploit),
@@ -874,8 +704,7 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
     # each side, so exploit steps leave the real box and are repaired; a
     # nan region in a third of the cases gives nan bests and rollbacks,
     # and values rounded down to halves in another third give exact ties.
-    repairs, stage_repairs, plans = [], 0, []
-    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    repairs, stage_repairs, plans = counting_repairs(monkeypatch, abco), 0, []
     planned = abco._regeneration_plan
 
     def recorded_plan(needed, retained, neighbour_count):
@@ -933,8 +762,7 @@ def test_exploit_matches_its_reference_across_flush_blocks(monkeypatch, size):
     # the real box and are repaired; a nan region in a third of the cases
     # gives nan bests and rollbacks, and values rounded down to halves in
     # another third give exact ties.
-    repairs, repaired, moves, rollbacks = [], 0, 0, 0
-    monkeypatch.setattr(abco, "repair_bounds", counting_repairs(repairs))
+    repairs, repaired, moves, rollbacks = counting_repairs(monkeypatch, abco), 0, 0, 0
     for case, (dim, k) in enumerate(itertools.product(range(1, 7), (1, 2, 5, 15))):
         draw = np.random.default_rng(1_000 * size + case)
         space = SearchSpace(dim, -2.0, 3.0)
@@ -1059,34 +887,18 @@ def test_run_abco_history_is_monotone():
 
 
 def test_run_abco_stops_on_stagnation():
-    class Flat:
-        space = SPACE
-        evaluator = staticmethod(lambda p: 1.0)
-        mode = OptimizationMode.MIN
-
     cfg = AbcoConfig(size=6, iterations=20, generation_gap=25.0, unchanged_threshold=80.0)
-    result = run_abco(Flat(), cfg, RngStream(3))
+    result = run_abco(adhoc_objective(SPACE, lambda p: 1.0), cfg, RngStream(3))
     assert result.early_stopped
     assert result.iterations_executed == cfg.checkpoint_period
     assert result.best_value == 1.0  # global best seeded from the population
 
 
 def test_run_abco_max_mode_negates_min_mode():
-    neg = lambda p: -sphere(p)
-
-    class Neg:
-        space = SPACE
-        evaluator = staticmethod(neg)
-        mode = OptimizationMode.MAX
-
-    class Pos:
-        space = SPACE
-        evaluator = staticmethod(sphere)
-        mode = OptimizationMode.MIN
-
     cfg = AbcoConfig(size=6, iterations=8)
-    low = run_abco(Pos(), cfg, RngStream(9))
-    high = run_abco(Neg(), cfg, RngStream(9))
+    low = run_abco(adhoc_objective(SPACE, sphere), cfg, RngStream(9))
+    high = run_abco(adhoc_objective(SPACE, lambda p: -sphere(p), OptimizationMode.MAX), cfg,
+                    RngStream(9))
     assert high.best_value == pytest.approx(-low.best_value)
     assert np.array_equal(high.best_position, low.best_position)
     assert high.iterations_executed == low.iterations_executed
@@ -1108,7 +920,6 @@ def test_run_abco_reports_the_best_value_it_evaluated():
                 lowest[0] = min(lowest[0], value)
             return value
 
-        preset = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
-        cfg = AbcoConfig(**preset, size=size, iterations=iterations)
+        cfg = preset_colony(function_id, size, iterations=iterations)
         result = run_abco(replace(spec, evaluator=observed), cfg, RngStream(seed))
         assert result.best_value == lowest[0], (function_id, size, seed)

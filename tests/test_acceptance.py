@@ -7,15 +7,12 @@ family of randomized invariant suites (100+ cases each). Criteria 7-8 pin
 determinism and the early-stopping schedule.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from swarmopt.abco import (
     AbcoConfig,
-    Colony,
     RunState,
     early_stop_check,
     exploit_stage,
@@ -24,9 +21,8 @@ from swarmopt.abco import (
     run_abco,
 )
 from swarmopt.baselines import AcorConfig, PsoConfig, run_acor, run_pso
-from swarmopt.benchmarks import ObjectiveSpec, evaluate, list_functions, spec_of
+from swarmopt.benchmarks import evaluate, list_functions, spec_of
 from swarmopt.core import (
-    OptimizationMode,
     RngStream,
     SearchSpace,
     derive_seed,
@@ -34,121 +30,24 @@ from swarmopt.core import (
     k_nearest,
     minimised,
     quality_key,
-    seed_population,
 )
-from swarmopt.harness import (
-    ABCO_KEYS,
-    ExperimentConfig,
-    abco_preset,
-    cli_main,
-    read_results,
-    run_experiment,
+from swarmopt.harness import ExperimentConfig, cli_main, read_results, run_experiment
+from oracle import (
+    MAX,
+    MIN,
+    adhoc_objective,
+    colony_at,
+    fresh_state,
+    inside,
+    member_rows,
+    neighbours,
+    preset_colony,
+    random_case,
+    random_objective,
+    seeded,
+    stage_case,
+    survivors,
 )
-from test_core import inside
-
-MIN = OptimizationMode.MIN
-MAX = OptimizationMode.MAX
-
-
-def colony_config(function_id: str, size: int, **overrides) -> AbcoConfig:
-    """The bundled per-function preset as a ready config."""
-    kwargs = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
-    kwargs["size"] = size
-    kwargs.update(overrides)
-    return AbcoConfig(**kwargs)
-
-
-def random_objective(case_seed: int):
-    """One randomized colony setup: objective, config, stream.
-
-    The evaluator is a shifted quadratic with a linear tilt, smooth and
-    free of ties, and the direction is drawn too. step_size may exceed the
-    box width to stress repair.
-    """
-    draw = np.random.default_rng(case_seed)
-    lower = float(draw.uniform(-8.0, -0.5))
-    upper = float(draw.uniform(0.5, 8.0))
-    dim = int(draw.integers(1, 4))
-    space = SearchSpace(dim, lower, upper)
-    center = draw.uniform(lower, upper, size=dim)
-    slope = draw.uniform(-1.0, 1.0, size=dim)
-
-    def evaluator(point):
-        offset = np.asarray(point, dtype=float) - center
-        return float(offset @ offset + slope @ offset)
-
-    steps = dict(
-        size=int(draw.integers(2, 9)),
-        iterations=int(draw.integers(4, 12)),
-        step_size=float(draw.uniform(0.1, 1.5 * (upper - lower))),
-        explore_steps=int(draw.integers(1, 3)),
-        exploit_steps=int(draw.integers(1, 3)),
-        tumble_steps=int(draw.integers(1, 3)),
-    )
-    # The draw of a parameter since removed, kept so that every later draw,
-    # and the cases built from them, stay where they were.
-    draw.uniform(0.0, 0.5)
-    cfg = AbcoConfig(
-        **steps,
-        survivor_fraction=0.05 if case_seed % 5 == 0 else float(draw.uniform(0.2, 1.0)),
-        neighbor_count=int(draw.integers(1, 6)),
-        generation_gap=float(draw.uniform(10.0, 60.0)),
-        unchanged_threshold=float(draw.uniform(40.0, 100.0)),
-    )
-    mode = MIN if draw.uniform() < 0.5 else MAX
-    stream = RngStream(int(draw.integers(0, 2**63)))
-    return adhoc_objective(space, evaluator, mode), cfg, stream
-
-
-def random_case(case_seed: int):
-    """random_objective's case as space, evaluator, config and stream.
-
-    The evaluator is the objective's own; callers set the direction.
-    """
-    objective, cfg, stream = random_objective(case_seed)
-    return objective.space, objective.evaluator, cfg, stream
-
-
-def stage_case(case_seed: int):
-    """random_objective's case as run_abco hands it to the colony stages:
-    space, the evaluator from minimised, config and stream."""
-    objective, cfg, stream = random_objective(case_seed)
-    return objective.space, minimised(objective)[0], cfg, stream
-
-
-def fresh_state(space, evaluator, cfg, stream) -> RunState:
-    positions, values = seed_population(space, cfg.size, evaluator, stream)
-    champion = int(quality_key(values).argmin())
-    return RunState(
-        population=Colony.fresh(positions, values),
-        iteration=1,
-        global_best_value=float(values[champion]),
-        global_best_position=positions[champion].copy(),
-    )
-
-
-def adhoc_objective(space, evaluator, mode) -> ObjectiveSpec:
-    return ObjectiveSpec(
-        name="case",
-        space=space,
-        known_minimum=0.0,
-        known_argmin=(0.0,) * space.dim,
-        evaluator=evaluator,
-        mode=mode,
-    )
-
-
-def frozen_colony(values) -> Colony:
-    """Members at the origin of the plane whose memory is their value."""
-    values = np.array(values, dtype=float)
-    return Colony.fresh(np.zeros((len(values), 2)), values)
-
-
-def member_rows(colony: Colony) -> list[bytes]:
-    """Each member's whole record (position, value, personal best and
-    snapshot) as bytes, so a member can be followed through a reorder."""
-    arrays = vars(colony).values()
-    return [b"".join(array[i].tobytes() for array in arrays) for i in range(len(colony))]
 
 
 # --- criterion 1: the registry hits its published minima ---------------------
@@ -190,7 +89,7 @@ def test_criterion_3_colony_mean_error_bands():
         runs_per_cell=50,
         functions=functions,
         algorithms=["abco"],
-        abco={fn: colony_config(fn, size=25) for fn in functions},
+        abco={fn: preset_colony(fn, 25) for fn in functions},
         pso=PsoConfig(),
         aco=AcorConfig(),
     )
@@ -246,13 +145,12 @@ def test_criterion_4_baseline_mean_error_bands():
 # --- criterion 5: cost scales with population size ----------------------------
 
 def test_criterion_5_runtime_and_evaluations_scale_with_population():
-    kwargs = {ABCO_KEYS[k]: v for k, v in abco_preset("sphere").items()}
-    kwargs["unchanged_threshold"] = 100.0  # percentages cannot exceed it: no early stop
     objective = spec_of("sphere")
     mean_runtime = {}
     mean_evaluations = {}
     for size in (25, 100):
-        cfg = AbcoConfig(size=size, iterations=100, **kwargs)
+        # Percentages cannot exceed a threshold of 100: no early stop.
+        cfg = preset_colony("sphere", size, iterations=100, unchanged_threshold=100.0)
         results = [
             run_abco(objective, cfg,
                      RngStream(derive_seed(1001, "sphere", "abco", i)))
@@ -273,7 +171,7 @@ def test_criterion_5_runtime_and_evaluations_scale_with_population():
 def test_criterion_6_bounds_hold_after_every_stage():
     for case in range(100):
         space, evaluator, cfg, stream = stage_case(6_100 + case)
-        state = fresh_state(space, evaluator, cfg, stream)
+        state = fresh_state(seeded(space, cfg.size, evaluator, stream))
         for stage in (explore_stage, exploit_stage, reproduce_stage):
             stage(state, cfg, evaluator, space, stream)
             assert inside(space, state.population.positions).all(), stage.__name__
@@ -285,7 +183,7 @@ def test_criterion_6_best_values_never_worsen():
     # reproduction never touches a survivor's memory
     for case in range(100):
         space, evaluator, cfg, stream = stage_case(6_200 + case)
-        state = fresh_state(space, evaluator, cfg, stream)
+        state = fresh_state(seeded(space, cfg.size, evaluator, stream))
         for stage in (explore_stage, exploit_stage):
             colony = state.population
             before = colony.best_values.copy()
@@ -313,7 +211,7 @@ def test_criterion_6_best_values_never_worsen():
 def test_criterion_6_population_size_is_conserved_through_reproduction():
     for case in range(120):
         space, evaluator, cfg, stream = stage_case(6_300 + case)
-        state = fresh_state(space, evaluator, cfg, stream)
+        state = fresh_state(seeded(space, cfg.size, evaluator, stream))
         explore_stage(state, cfg, evaluator, space, stream)
         reproduce_stage(state, cfg, evaluator, space, stream)
         colony = state.population
@@ -329,7 +227,7 @@ def test_criterion_6_population_size_is_conserved_through_reproduction():
 def test_criterion_6_survivors_equal_sort_oracle_prefix():
     for case in range(120):
         space, evaluator, cfg, stream = stage_case(6_400 + case)
-        state = fresh_state(space, evaluator, cfg, stream)
+        state = fresh_state(seeded(space, cfg.size, evaluator, stream))
         colony = state.population
         if case % 3 == 0:
             # inject duplicated objective values to exercise tie stability
@@ -337,14 +235,7 @@ def test_criterion_6_survivors_equal_sort_oracle_prefix():
             for index in range(len(colony)):
                 colony.values[index] = tie_pool[index % len(tie_pool)]
         rows = member_rows(colony)
-        values = colony.values.tolist()
-        expected = [
-            rows[index]
-            for index in sorted(
-                range(len(colony)),
-                key=lambda i: quality_key(values[i]),
-            )[: cfg.survivor_count]
-        ]
+        expected = [rows[index] for index in survivors(colony.values, cfg.survivor_count)]
         reproduce_stage(state, cfg, evaluator, space, stream)
         actual = member_rows(state.population)[: cfg.survivor_count]
         assert actual == expected
@@ -358,15 +249,7 @@ def test_criterion_6_k_nearest_matches_brute_force():
         points = draw.uniform(-5, 5, size=(count, dim))
         subject = int(draw.integers(0, count))
         requested = int(draw.integers(1, count + 3))
-        effective = min(requested, count - 1)
-        oracle = sorted(
-            ((float(np.linalg.norm(points[j] - points[subject])), j)
-             for j in range(count) if j != subject),
-        )[:effective]
-        got = k_nearest(points, subject, requested)
-        assert [index for index, _ in got] == [j for _, j in oracle]
-        assert np.allclose([d for _, d in got], [d for d, _ in oracle],
-                           rtol=0.0, atol=1e-12)
+        assert k_nearest(points, subject, requested) == neighbours(points, subject, requested)
 
 
 def test_criterion_6_min_max_duality():
@@ -414,7 +297,7 @@ def test_criterion_6_early_stop_only_at_checkpoints_strictly_above_threshold():
         draw = np.random.default_rng(6_900 + case)
         size = int(draw.integers(1, 9))
         unchanged_count = int(draw.integers(0, size + 1))
-        population = frozen_colony(range(size))
+        population = colony_at(*[(0.0, 0.0, j) for j in range(size)])
         for j in range(unchanged_count, size):
             population.snapshot[j] = float(j) - 1.0
         percent = unchanged_count / size * 100.0
@@ -501,7 +384,7 @@ def test_criterion_8_stagnant_population_stops_at_iteration_50():
     assert cfg.checkpoint_period == 50
 
     state = RunState(
-        population=frozen_colony(1.0 + np.arange(cfg.size)),
+        population=colony_at(*[(0.0, 0.0, 1.0 + j) for j in range(cfg.size)]),
         iteration=0,
         global_best_value=1.0,
         global_best_position=np.zeros(2),

@@ -14,32 +14,15 @@ from swarmopt.baselines import (
     run_pso,
 )
 from swarmopt.benchmarks import spec_of
-from swarmopt.core import (
-    ConfigurationError,
-    OptimizationMode,
-    RngStream,
-    SearchSpace,
-    minimised,
-    quality_key,
-    repair_bounds,
+from swarmopt.core import ConfigurationError, OptimizationMode, RngStream, SearchSpace
+from oracle import (
+    adhoc_objective,
+    counting_repairs,
+    inside,
+    per_ant_acor,
+    per_particle_pso,
+    sphere,
 )
-from swarmopt.benchmarks import ObjectiveSpec
-from test_core import counting_repairs, inside, repaired_row_major
-
-
-def objective_from(evaluator, space, mode=OptimizationMode.MIN):
-    return ObjectiveSpec(
-        name="adhoc",
-        space=space,
-        known_minimum=0.0,
-        known_argmin=(0.0,) * space.dim,
-        evaluator=evaluator,
-        mode=mode,
-    )
-
-
-def sphere(p):
-    return float(np.dot(p, p))
 
 
 # --- configs ---------------------------------------------------------------
@@ -107,7 +90,7 @@ def test_pso_single_particle_is_a_fixed_point():
     # zero-velocity start never moves
     space = SearchSpace(2, -5.0, 5.0)
     cfg = PsoConfig(size=1, iterations=25)
-    result = run_pso(objective_from(sphere, space), cfg, RngStream(13))
+    result = run_pso(adhoc_objective(space, sphere), cfg, RngStream(13))
     seeded = (-5.0 + 10.0 * RngStream(13).uniform(size=(1, 2)))[0]
     assert np.array_equal(result.best_position, seeded)
     history = result.diagnostics["best_history"]
@@ -129,9 +112,9 @@ def test_pso_is_deterministic_and_bounded():
 def test_pso_max_mode_negates_min_mode():
     space = SearchSpace(2, -5.0, 5.0)
     cfg = PsoConfig(size=8, iterations=12)
-    low = run_pso(objective_from(sphere, space), cfg, RngStream(7))
+    low = run_pso(adhoc_objective(space, sphere), cfg, RngStream(7))
     high = run_pso(
-        objective_from(lambda p: -sphere(p), space, OptimizationMode.MAX),
+        adhoc_objective(space, lambda p: -sphere(p), OptimizationMode.MAX),
         cfg,
         RngStream(7),
     )
@@ -204,7 +187,7 @@ def test_acor_tiny_box_pins_the_archive():
     # of the corner optimum and stays inside bounds
     space = SearchSpace(2, 0.5, 0.5 + 1e-13)
     cfg = AcorConfig(size=4, iterations=5, sample_count=3)
-    result = run_acor(objective_from(sphere, space), cfg, RngStream(1))
+    result = run_acor(adhoc_objective(space, sphere), cfg, RngStream(1))
     assert inside(space, result.best_position)
     assert result.best_value == pytest.approx(0.5, abs=1e-12)
 
@@ -224,9 +207,9 @@ def test_acor_is_deterministic_and_bounded():
 def test_acor_max_mode_negates_min_mode():
     space = SearchSpace(2, -5.0, 5.0)
     cfg = AcorConfig(size=6, iterations=10, sample_count=4)
-    low = run_acor(objective_from(sphere, space), cfg, RngStream(23))
+    low = run_acor(adhoc_objective(space, sphere), cfg, RngStream(23))
     high = run_acor(
-        objective_from(lambda p: -sphere(p), space, OptimizationMode.MAX),
+        adhoc_objective(space, lambda p: -sphere(p), OptimizationMode.MAX),
         cfg,
         RngStream(23),
     )
@@ -240,96 +223,94 @@ def test_acor_improves_on_sphere():
     assert result.evaluations == 20 + 5 * 60
 
 
-def per_ant_acor(objective, cfg, rng):
-    """run_acor's loop one ant at a time: the iteration's guide uniforms
-    first, then per ant a searchsorted guide, a per-guide np.sum of archive
-    distances, its normals and repair_bounds on every sample."""
-    space, n = objective.space, cfg.size
-    evaluate, sign = minimised(objective)
-    positions = space.lower + (space.upper - space.lower) * rng.uniform(size=(n, space.dim))
-    values = np.array([float(evaluate(p)) for p in positions])
-    order = np.argsort(quality_key(values), kind="stable")
-    positions, values = positions[order], values[order]
-    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
-    history = [sign * float(values[0])]
-    evaluations = n
-    for _ in range(cfg.iterations):
-        sample_positions = np.empty((cfg.resolved_sample_count, space.dim))
-        sample_values = np.empty(cfg.resolved_sample_count)
-        uniforms = rng.uniform(size=cfg.resolved_sample_count)
-        for ant in range(cfg.resolved_sample_count):
-            guide = min(int(np.searchsorted(cumulative, uniforms[ant], side="right")), n - 1)
-            deviations = (cfg.deviation_ratio
-                          * np.sum(np.abs(positions - positions[guide]), axis=0) / (n - 1))
-            drawn = positions[guide] + deviations * rng.standard_normal(space.dim)
-            sample_positions[ant] = repair_bounds(drawn, space, rng)
-            sample_values[ant] = float(evaluate(sample_positions[ant]))
-            evaluations += 1
-        positions, values = merge_archive(
-            positions, values, sample_positions, sample_values, n)
-        history.append(sign * float(values[0]))
-    return sign * values[0], positions[0], evaluations, history
+def quadratic_case(draw, case):
+    """A box, and a quadratic whose centre may lie up to half a box width
+    outside it, so a swarm crowds an edge; in a third of the cases it is nan
+    past a cut on the first coordinate. Odd cases maximise its negation."""
+    dim = int(draw.integers(1, 7))
+    lower, upper = float(draw.uniform(-8.0, -0.5)), float(draw.uniform(0.5, 8.0))
+    width = upper - lower
+    center = draw.uniform(lower - width / 2, upper + width / 2, size=dim)
+    cut = float(draw.uniform(lower, upper))
+    sign = -1.0 if case % 2 else 1.0
+
+    def quadratic(p):
+        return float("nan") if case % 3 == 0 and p[0] > cut else sign * float(
+            (p - center) @ (p - center))
+
+    mode = OptimizationMode.MAX if case % 2 else OptimizationMode.MIN
+    return SearchSpace(dim, lower, upper), quadratic, mode
+
+
+def assert_replays(runner, reference, space, evaluate, mode, cfg, seed):
+    """Run `runner` and its `reference` on one stream seed each and require the
+    same evaluated points and values, best, position, evaluations, history and
+    final stream states, bit for bit. Returns what was evaluated, as (m, d + 1)."""
+    runs = []
+    for run in (runner, reference):
+        seen = []
+
+        def recorded(point, seen=seen):
+            value = evaluate(point)
+            seen.append(np.append(point, value).tobytes())
+            return value
+
+        rng = RngStream(seed)
+        result = run(adhoc_objective(space, recorded, mode), cfg, rng)
+        if run is runner:
+            result = (result.best_value, result.best_position, result.evaluations,
+                      result.diagnostics["best_history"])
+        best, position, evaluations, history = result
+        runs.append((seen, np.array([best, *history]).tobytes(), np.asarray(position).tobytes(),
+                     evaluations, rng.generator.bit_generator.state,
+                     rng.repairs.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert runs[0][3] == len(runs[0][0])
+    return np.frombuffer(b"".join(runs[0][0])).reshape(-1, space.dim + 1)
 
 
 def test_acor_matches_its_per_ant_reference(monkeypatch):
-    # The quadratic's centre may lie up to half a box width outside the box,
-    # so archives crowd an edge and many samples leave it; a third of the
-    # cases return nan past a cut on the first coordinate.
-    repairs = []
-    monkeypatch.setattr(baselines, "repair_bounds", counting_repairs(repairs))
-    samples = 0
+    repairs, samples = counting_repairs(monkeypatch, baselines), 0
     for case in range(60):
         draw = np.random.default_rng(7_000 + case)
-        dim = int(draw.integers(1, 7))
-        lower, upper = float(draw.uniform(-8.0, -0.5)), float(draw.uniform(0.5, 8.0))
-        width = upper - lower
-        space = SearchSpace(dim, lower, upper)
-        center = draw.uniform(lower - width / 2, upper + width / 2, size=dim)
-        cut = float(draw.uniform(lower, upper))
-        sign = -1.0 if case % 2 else 1.0
-        mode = OptimizationMode.MAX if case % 2 else OptimizationMode.MIN
-
-        def quadratic(p, center=center, cut=cut, sign=sign, nan=case % 3 == 0):
-            return float("nan") if nan and p[0] > cut else sign * float(
-                (p - center) @ (p - center))
-
+        space, quadratic, mode = quadratic_case(draw, case)
         cfg = AcorConfig(size=int(draw.integers(2, 121)), iterations=int(draw.integers(2, 7)),
                          sample_count=int(draw.integers(1, 31)),
                          intent_factor=float(draw.uniform(0.05, 1.0)),
                          deviation_ratio=float(draw.uniform(0.5, 2.5)))
         seed = int(draw.integers(0, 2**63))
-        runs = []
-        for runner in (run_acor, per_ant_acor):
-            seen = []
-
-            def recorded(point, seen=seen):
-                value = quadratic(point)
-                seen.append(np.append(point, value).tobytes())
-                return value
-
-            rng = RngStream(seed)
-            result = runner(objective_from(recorded, space, mode), cfg, rng)
-            if runner is run_acor:
-                result = (result.best_value, result.best_position, result.evaluations,
-                          result.diagnostics["best_history"])
-            runs.append((seen, result, rng.generator.bit_generator.state,
-                         rng.repairs.bit_generator.state))
-        (seen, result, *states), (ref_seen, ref_result, *ref_states) = runs
-        assert seen == ref_seen, case
-        best, position, evaluations, history = result
-        ref_best, ref_position, ref_evaluations, ref_history = ref_result
-        assert np.array_equal([best, *history], [ref_best, *ref_history], equal_nan=True)
-        assert np.array_equal(position, ref_position, equal_nan=True)
-        assert evaluations == ref_evaluations == len(seen)
-        assert states == ref_states, case
-        samples += evaluations - cfg.size
+        seen = assert_replays(run_acor, per_ant_acor, space, quadratic, mode, cfg, seed)
+        samples += len(seen) - cfg.size
     # both paths run: samples inside the box pass through, the rest are repaired
     assert samples // 3 < sum(repairs) < samples - samples // 3
 
 
-def test_acor_iteration_repairs_row_major_on_the_repair_stream():
+def test_pso_matches_its_per_particle_reference():
+    # Coefficients and inertia are drawn too; sizes run from 1 to 40.
+    walls = nans = evaluations = 0
+    for case in range(60):
+        draw = np.random.default_rng(7_500 + case)
+        space, quadratic, mode = quadratic_case(draw, case)
+        inertia_min = float(draw.uniform(0.1, 0.9))
+        cfg = PsoConfig(size=int(draw.integers(1, 41)), iterations=int(draw.integers(1, 9)),
+                        local_coefficient=float(draw.uniform(0.5, 2.5)),
+                        global_coefficient=float(draw.uniform(0.5, 2.5)),
+                        inertia_min=inertia_min,
+                        inertia_max=inertia_min + float(draw.uniform(0.0, 0.5)))
+        seed = int(draw.integers(0, 2**63))
+        seen = assert_replays(run_pso, per_particle_pso, space, quadratic, mode, cfg, seed)
+        points, values = seen[cfg.size:, :-1], seen[cfg.size:, -1]
+        walls += int(((points == space.lower) | (points == space.upper)).any(axis=1).sum())
+        nans += int(np.isnan(values).sum())
+        evaluations += len(values)
+    # the swarm hits the box's walls and the nan region
+    assert evaluations // 10 < walls < evaluations - evaluations // 10
+    assert nans > evaluations // 20
+
+
+def test_acor_iteration_repairs_row_major_on_the_repair_stream(monkeypatch):
     # Centred on an edge with wide deviations, many samples leave the box.
-    repaired_rows = 0
+    repaired_rows = counting_repairs(monkeypatch, baselines)
     for case in range(40):
         draw = np.random.default_rng(9_300 + case)
         dim = int(draw.integers(1, 7))
@@ -337,34 +318,12 @@ def test_acor_iteration_repairs_row_major_on_the_repair_stream():
         cfg = AcorConfig(size=int(draw.integers(2, 60)), iterations=1,
                          sample_count=int(draw.integers(1, 30)),
                          deviation_ratio=float(draw.uniform(1.0, 4.0)))
-        n = cfg.size
-        seen = []
 
-        def edge(p, seen=seen):
-            seen.append(p.copy())
+        def edge(p):
             return float((p - space.upper) @ (p - space.upper))
 
-        rng = RngStream(case)
-        run_acor(objective_from(edge, space), cfg, rng)
-
-        reference = RngStream(case)
-        width = space.upper - space.lower
-        positions = space.lower + width * reference.generator.random((n, dim))
-        order = np.argsort([edge(p, []) for p in positions], kind="stable")
-        positions = positions[order]
-        cumulative = np.cumsum(rank_weights(n, cfg.intent_factor))
-        guides = np.minimum(np.searchsorted(
-            cumulative, reference.generator.random(cfg.sample_count), side="right"), n - 1)
-        deviations = [cfg.deviation_ratio * np.sum(np.abs(positions - positions[g]), axis=0)
-                      / (n - 1) for g in guides]
-        samples = positions[guides] + deviations * reference.generator.standard_normal(
-            (cfg.sample_count, dim))
-        expected = repaired_row_major(samples, space, reference.repairs)
-        assert np.array_equal(seen[n:], expected), case
-        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
-        assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
-        repaired_rows += int((expected != samples).any(axis=1).sum())
-    assert repaired_rows > 200
+        assert_replays(run_acor, per_ant_acor, space, edge, OptimizationMode.MIN, cfg, case)
+    assert sum(repaired_rows) > 200
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

@@ -15,7 +15,7 @@ from swarmopt.core import (
     evaluate_rows,
     minimised,
 )
-from test_core import inside
+from oracle import inside
 
 EXPECTED_DOMAINS = {
     "ackley": (-5.0, 5.0),

@@ -23,22 +23,15 @@ from swarmopt.core import (
     repair_bounds,
     seed_population,
 )
-
-
-def inside(space, points):
-    """Whether every coordinate lies in the box, over the last axis: one
-    bool for a (dim,) point, one per row of a matrix. nan is outside."""
-    points = np.asarray(points, dtype=float)
-    return ((points >= space.lower) & (points <= space.upper)).all(axis=-1)
-
-
-def counting_repairs(counts):
-    """repair_bounds, appending to `counts` how many of the rows handed to
-    each call lie outside the box."""
-    def counted(points, space, rng):
-        counts.append(int(np.count_nonzero(~inside(space, points))))
-        return repair_bounds(points, space, rng)
-    return counted
+import oracle
+from oracle import (
+    inside,
+    neighbour_layouts,
+    neighbour_order,
+    neighbours,
+    repaired,
+    repaired_row_major,
+)
 
 
 def test_derive_seed_is_stable():
@@ -148,6 +141,7 @@ def test_quality_key_ranks_non_finite_values_worst():
     values = [nan, 2.0, -inf, -1.0, inf, 1e308]
     keys = quality_key(np.array(values))
     assert keys.tolist() == [quality_key(v) for v in values]
+    assert keys.tolist() == [oracle.quality_key(v) for v in values]
     order = np.argsort(keys, kind="stable").tolist()
     finite = [i for i in order if math.isfinite(values[i])]
     assert order == finite + [0, 2, 4]
@@ -159,42 +153,29 @@ def test_quality_key_ranks_non_finite_values_worst():
         assert not quality_key(nan) < quality_key(bad)
 
 
-def _brute_force_neighbours(positions, subject, k):
-    distances = [
-        (float(np.linalg.norm(np.asarray(p) - np.asarray(positions[subject]))), i)
-        for i, p in enumerate(positions)
-        if i != subject
-    ]
-    distances.sort()
-    return [(i, d) for d, i in distances[:k]]
-
-
 def test_k_nearest_matches_brute_force():
+    # Indices and distances bit for bit: random sizes and k at d = 3, then
+    # every subject of 25 rows in each neighbour layout at d = 1-10.
     rng = np.random.default_rng(17)
     for _ in range(50):
         size = int(rng.integers(2, 12))
         positions = rng.uniform(-5, 5, size=(size, 3))
         subject = int(rng.integers(size))
         k = int(rng.integers(1, size + 2))
-        got = k_nearest(positions, subject, k)
-        want = _brute_force_neighbours(positions, subject, k)
-        assert [i for i, _ in got] == [i for i, _ in want]
+        assert k_nearest(positions, subject, k) == neighbours(positions, subject, k)
+    for dim in range(1, 11):
+        for positions in neighbour_layouts(25, dim, np.random.default_rng(100 + dim)):
+            for subject in range(25):
+                got, want = k_nearest(positions, subject, 24), neighbours(positions, subject, 24)
+                assert [i for i, _ in got] == [i for i, _ in want]
+                assert np.array([d for _, d in got]).tobytes() == np.array(
+                    [d for _, d in want]).tobytes(), (dim, subject)
 
 
 def test_k_nearest_breaks_ties_by_index():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     neighbours = k_nearest(positions, 0, 3)
     assert [i for i, _ in neighbours] == [1, 2, 3]
-
-
-def _brute_force_order(positions, subject):
-    # NaN distances sort last; equal distances keep index order.
-    keyed = []
-    for i, point in enumerate(positions):
-        if i != subject:
-            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(point, positions[subject])))
-            keyed.append((math.isnan(d), 0.0 if math.isnan(d) else d, i))
-    return [i for *_, i in sorted(keyed)]
 
 
 def test_k_nearest_orders_duplicates_and_nan_rows_like_brute_force():
@@ -205,20 +186,9 @@ def test_k_nearest_orders_duplicates_and_nan_rows_like_brute_force():
     for subject in range(len(positions)):
         for k in (1, 3, len(positions)):
             got = k_nearest(positions, subject, k)
-            assert [i for i, _ in got] == _brute_force_order(positions, subject)[:k]
+            assert [i for i, _ in got] == [i for i, _ in neighbours(positions, subject, k)]
     # Row 0 duplicates subject 3 from a lower index, so it comes first at distance 0.
     assert k_nearest(positions, 3, 1) == [(0, 0.0)]
-
-
-def stable_sort_ranking(row, subject, k):
-    """The stable-sort rule: argsort, keep the first k + 1, then drop the
-    subject or else the last."""
-    nearest = np.argsort(row, kind="stable")[: k + 1].tolist()
-    if subject in nearest:
-        nearest.remove(subject)
-    else:
-        nearest.pop()
-    return nearest
 
 
 def ranking_rows():
@@ -252,8 +222,8 @@ def test_rank_neighbours_argmin_path_equals_the_stable_sort():
         size = len(values)
         for k in sorted({1, 2, 3, max(1, size - 1), size, size + 3}):
             row = np.array(values)
-            assert rank_neighbours(row, subject, k) == stable_sort_ranking(
-                np.array(values), subject, k), (values, subject, k)
+            assert rank_neighbours(row, subject, k) == neighbour_order(
+                values, subject, k), (values, subject, k)
 
 
 def test_k_nearest_clamps_and_rejects():
@@ -294,23 +264,12 @@ def test_repair_bounds_catches_nan():
 def test_repair_bounds_draws_in_ascending_coordinate_order():
     space = SearchSpace(4, -1.0, 1.0)
     rng = RngStream(21)
-    repaired = repair_bounds(np.array([float("nan"), 0.5, 3.0, -1.5]), space, rng)
+    point = [float("nan"), 0.5, 3.0, -1.5]
     reference = RngStream(21)
-    first, second, third = (reference.repairs.uniform(-1.0, 1.0) for _ in range(3))
-    assert repaired.tolist() == [first, 0.5, second, third]
+    assert repair_bounds(np.array(point), space, rng).tolist() == repaired(
+        point, space, reference.repairs)
     assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
     assert rng.generator.bit_generator.state == RngStream(21).generator.bit_generator.state
-
-
-def repaired_row_major(rows, space, repairs):
-    """`rows` with each out-of-box coordinate replaced by the next uniform
-    from the generator `repairs`: row by row, ascending within a row."""
-    repaired = np.array(rows, dtype=float)
-    for row in repaired:
-        for i, value in enumerate(row.tolist()):
-            if not space.lower <= value <= space.upper:
-                row[i] = repairs.uniform(space.lower, space.upper)
-    return repaired
 
 
 def test_repair_stream_is_a_pure_function_of_the_seed():

@@ -8,7 +8,7 @@ import pytest
 
 from swarmopt.abco import AbcoConfig, run_abco
 from swarmopt.baselines import AcorConfig, PsoConfig, run_acor, run_pso
-from swarmopt.benchmarks import ObjectiveSpec, spec_of
+from swarmopt.benchmarks import spec_of
 from swarmopt.core import (
     OptimizationMode,
     RngStream,
@@ -18,6 +18,7 @@ from swarmopt.core import (
     minimised,
     seed_population,
 )
+from oracle import adhoc_objective
 
 MIN, MAX = OptimizationMode.MIN, OptimizationMode.MAX
 
@@ -57,7 +58,7 @@ def test_every_history_is_the_seeded_best_then_one_entry_per_iteration(name, mod
 @pytest.mark.parametrize("mode", [MIN, MAX])
 def test_drive_crowns_an_all_nan_seed_and_a_finite_offer_replaces_it(mode):
     space = SearchSpace(2, -1.0, 1.0)
-    objective = ObjectiveSpec("nan", space, 0.0, (0.0, 0.0), lambda point: math.nan, mode)
+    objective = adhoc_objective(space, lambda point: math.nan, mode)
     sign = minimised(objective)[1]
     seen = []
 

@@ -13,17 +13,12 @@ transforms can legitimately move it; a refactor of swarmopt must not.
 """
 
 import hashlib
-import struct
-from dataclasses import replace
 
-import numpy as np
-
-from swarmopt.abco import AbcoConfig, run_abco
+from swarmopt.abco import run_abco
 from swarmopt.baselines import AcorConfig, PsoConfig, run_acor, run_pso
 from swarmopt.benchmarks import list_functions, spec_of
 from swarmopt.core import OptimizationMode, RngStream, derive_seed
-from swarmopt.harness import ABCO_KEYS, abco_preset
-from test_acceptance import adhoc_objective, random_case
+from oracle import adhoc_objective, fold, preset_colony, random_case, recording
 
 GOLDEN_DIGEST = "a2caa0136fbca6d0103a97e6ce8b6153078894282d8a4dd16b9d029366540059"
 
@@ -33,43 +28,25 @@ SEEDS_PER_CELL = 2
 MAX_MODE_CASES = 30
 
 
-def _recording(spec, sink):
-    inner = spec.evaluator
-
-    def evaluator(point):
-        value = inner(point)
-        sink.update(np.asarray(point, dtype=float).tobytes())
-        sink.update(struct.pack("<d", float(value)))
-        return value
-
-    return replace(spec, evaluator=evaluator)
-
-
-def _fold(sink, result):
-    sink.update(struct.pack(
-        "<qq?", result.evaluations, result.iterations_executed, result.early_stopped))
-
-
 def trajectory_digest() -> str:
     sink = hashlib.sha256()
     for function_id in list_functions():
         spec = spec_of(function_id)
-        colony = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
         configs = {
-            "abco": (run_abco, AbcoConfig(**colony, size=POPULATION, iterations=ITERATIONS)),
+            "abco": (run_abco, preset_colony(function_id, POPULATION, iterations=ITERATIONS)),
             "pso": (run_pso, PsoConfig(size=POPULATION, iterations=ITERATIONS)),
             "aco": (run_acor, AcorConfig(size=POPULATION, iterations=ITERATIONS)),
         }
         for algorithm_id, (runner, cfg) in configs.items():
             for run_index in range(SEEDS_PER_CELL):
                 seed = derive_seed(0, function_id, algorithm_id, run_index)
-                _fold(sink, runner(_recording(spec, sink), cfg, RngStream(seed)))
+                fold(sink, runner(recording(spec, sink), cfg, RngStream(seed)))
 
     for case in range(MAX_MODE_CASES):
         space, evaluator, cfg, stream = random_case(9_000 + case)
         objective = adhoc_objective(space, lambda p, f=evaluator: -f(p),
                                     OptimizationMode.MAX)
-        _fold(sink, run_abco(_recording(objective, sink), cfg, stream))
+        fold(sink, run_abco(recording(objective, sink), cfg, stream))
     return sink.hexdigest()
 
 

@@ -10,12 +10,11 @@ test_golden and is tied to the same libm and PCG64 stream.
 """
 
 import hashlib
-from dataclasses import replace
 
 from swarmopt.baselines import AcorConfig, run_acor
 from swarmopt.benchmarks import list_functions, spec_of
-from swarmopt.core import RngStream, SearchSpace, derive_seed
-from test_golden import _fold, _recording
+from swarmopt.core import RngStream, derive_seed
+from oracle import fold, recording, resized_spec
 
 GOLDEN_ACOR_DIGEST = "115c8845d6adea6c0c104bbd17b6fb1f6c10b735a998d88de3364729ba515289"
 
@@ -24,12 +23,6 @@ ITERATIONS = 20
 SEEDS_PER_CELL = 2
 RESIZED = (("sphere", 1), ("rastrigin", 1), ("sphere", 3), ("rastrigin", 3),
            ("rosenbrock", 3))
-
-
-def resized_spec(function_id: str, dim: int):
-    spec = spec_of(function_id)
-    space = SearchSpace(dim, spec.space.lower, spec.space.upper)
-    return replace(spec, space=space, known_argmin=spec.known_argmin[:1] * dim)
 
 
 def acor_digest() -> str:
@@ -41,7 +34,7 @@ def acor_digest() -> str:
     for spec in cases:
         for run_index in range(SEEDS_PER_CELL):
             seed = derive_seed(spec.space.dim, spec.name, "aco", run_index)
-            _fold(sink, run_acor(_recording(spec, sink), cfg, RngStream(seed)))
+            fold(sink, run_acor(recording(spec, sink), cfg, RngStream(seed)))
     return sink.hexdigest()
 
 

@@ -10,11 +10,10 @@ and the early-stop flag) and is tied to the same libm and PCG64 stream.
 
 import hashlib
 
-from swarmopt.abco import AbcoConfig, run_abco
+from swarmopt.abco import run_abco
 from swarmopt.benchmarks import list_functions, spec_of
 from swarmopt.core import RngStream, derive_seed
-from swarmopt.harness import ABCO_KEYS, abco_preset
-from test_golden import _fold, _recording
+from oracle import fold, preset_colony, recording
 
 GOLDEN_POPULATION_DIGEST = "13d5fa384f2241198e6fd95b4d4bbf3ae9af4f073a3c719a70fea5e64537a058"
 
@@ -25,10 +24,9 @@ ITERATIONS = 10
 def population_digest() -> str:
     sink = hashlib.sha256()
     for function_id in list_functions():
-        colony = {ABCO_KEYS[k]: v for k, v in abco_preset(function_id).items()}
-        cfg = AbcoConfig(**colony, size=POPULATION, iterations=ITERATIONS)
+        cfg = preset_colony(function_id, POPULATION, iterations=ITERATIONS)
         seed = derive_seed(0, function_id, "abco", 0)
-        _fold(sink, run_abco(_recording(spec_of(function_id), sink), cfg, RngStream(seed)))
+        fold(sink, run_abco(recording(spec_of(function_id), sink), cfg, RngStream(seed)))
     return sink.hexdigest()
 
 

@@ -15,8 +15,7 @@ import hashlib
 from swarmopt.baselines import PsoConfig, run_pso
 from swarmopt.benchmarks import list_functions, spec_of
 from swarmopt.core import RngStream, derive_seed
-from test_golden import _fold, _recording
-from test_golden_acor import resized_spec
+from oracle import fold, recording, resized_spec
 
 GOLDEN_PSO_DIGEST = "b82d413415059ff9bf23ecac4a929ccccb1050948fc53e408eea248f33787f52"
 
@@ -36,7 +35,7 @@ def pso_digest() -> str:
         cfg = PsoConfig(size=size, iterations=ITERATIONS)
         for run_index in range(SEEDS_PER_CELL):
             seed = derive_seed(size * spec.space.dim, spec.name, "pso", run_index)
-            _fold(sink, run_pso(_recording(spec, sink), cfg, RngStream(seed)))
+            fold(sink, run_pso(recording(spec, sink), cfg, RngStream(seed)))
     return sink.hexdigest()
 
 

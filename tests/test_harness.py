@@ -452,6 +452,9 @@ def test_worker_count_env_parsing(monkeypatch):
     monkeypatch.setenv("SWARM_OPT_THREADS", "four")
     with pytest.raises(ConfigurationError, match="SWARM_OPT_THREADS"):
         harness._worker_count(10)
+    monkeypatch.setenv("SWARM_OPT_THREADS", "-1")
+    with pytest.raises(ConfigurationError, match="SWARM_OPT_THREADS must be 0 or more, got '-1'"):
+        harness._worker_count(10)
 
 
 # --- csv ---------------------------------------------------------------------
