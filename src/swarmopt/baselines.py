@@ -165,7 +165,10 @@ def rank_weights(size: int, intent_factor: float) -> np.ndarray:
         raise ConfigurationError(f"intent_factor must be positive, got {intent_factor}")
     ranks = np.arange(size, dtype=float)
     spread = intent_factor * size
-    raw = np.exp(-(ranks**2) / (2.0 * spread**2)) / (spread * math.sqrt(2.0 * math.pi))
+    # libm's exp, as the registry's column forms take it: np.exp's AVX-512
+    # kernel rounds some inputs differently, and the weights would follow.
+    exps = np.fromiter(map(math.exp, (-(ranks**2) / (2.0 * spread**2)).tolist()), float, size)
+    raw = exps / (spread * math.sqrt(2.0 * math.pi))
     return raw / raw.sum()
 
 

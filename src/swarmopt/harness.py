@@ -4,7 +4,7 @@ Experiments are described by JSON files with the following keys (all except
 experiment_id and base_seed optional):
 
     experiment_id       string naming the experiment and its output files,
-                        so a plain file name: no / or \\, not . or ..
+                        so a plain file name: no / or \\ or NUL, not . or ..
     base_seed           integer; every run's seed is derived from it
     iter                iteration budget for all algorithms (default 100)
     runs_per_cell       repetitions per (function, algorithm) cell (default 50)
@@ -26,9 +26,11 @@ translates to the descriptive field names. One builder resolves every
 optimizer config from blocks in layers, a later layer winning: for the
 colony the bundled preset (presets/abco.json:<fn>, empty for a function it
 does not tune), then the flat abco block, then abco.<fn>, then
-population_overrides.<fn> as size; pso and aco are one block each;
-`swarmopt run` takes the preset (colony only), then --param, with
---pop-size as size. An error names the key by the block that gave it
+population_overrides.<fn> as size; pso and aco are one block each.
+`swarmopt run` builds a one-cell config, {experiment_id: run-<algo>-<fn>,
+base_seed: --seed, iter: --iters, runs_per_cell: --runs, functions: [fn],
+algorithms: [algo], <algo>: {--param..., size: --pop-size}}, and checks
+and runs it as a file's. An error names the key by the block that gave it
 (abco.s, not abco.sphere.s); a field no block set goes by its key. Every
 float must be finite. Three configs ship with the package (experiment1/2/3:
 all algorithms at population 100, all at 25, and colony 25, sphere's 15,
@@ -81,13 +83,11 @@ ALGORITHMS = ("abco", "pso", "aco")
 
 BUNDLED_EXPERIMENTS = ("experiment1", "experiment2", "experiment3")
 
-_CONFIG_CLASSES = {"abco": AbcoConfig, "pso": PsoConfig, "aco": AcorConfig}
-
 # Per config class: config-file key -> field, for the fields a config block
 # may set, read off the field declarations.
 _FIELDS = {
     cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
-    for cls in _CONFIG_CLASSES.values()
+    for cls in (AbcoConfig, PsoConfig, AcorConfig)
 }
 
 
@@ -167,12 +167,8 @@ def aggregate_stats(values) -> StatsSummary:
 # config loading
 
 
-def _preset_root():
-    return resources.files("swarmopt") / "presets"
-
-
 def _load_preset(relative: str) -> dict:
-    return json.loads((_preset_root() / relative).read_text())
+    return json.loads((resources.files("swarmopt") / "presets" / relative).read_text())
 
 
 def abco_preset(function_id: str) -> dict:
@@ -180,10 +176,6 @@ def abco_preset(function_id: str) -> dict:
     spelling; empty for a function that runs on AbcoConfig's defaults."""
     spec_of(function_id)
     return _load_preset("abco.json").get(function_id, {})
-
-
-def _preset_layer(function_id: str) -> tuple[str, dict]:
-    return f"presets/abco.json:{function_id}", abco_preset(function_id)
 
 
 def _resolve(cls, location: str, layers, **fixed):
@@ -268,7 +260,12 @@ def load_config(source) -> ExperimentConfig:
         raw = _load_preset(f"{source}.json")
     else:
         raise FileNotFoundError(f"no config file or bundled experiment named {source!r}")
+    return _parse_config(raw, location)
 
+
+def _parse_config(raw, location: str) -> ExperimentConfig:
+    """Validate a raw experiment description, as read from JSON; every
+    error message starts with `location`."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{location}: top level must be an object")
     for key in raw:
@@ -278,8 +275,9 @@ def load_config(source) -> ExperimentConfig:
     experiment_id = raw.get("experiment_id")
     if not isinstance(experiment_id, str) or not experiment_id:
         raise ConfigurationError(f"{location}: experiment_id must be a non-empty string")
-    # The id names the output files, so it must not reach another directory.
-    if "/" in experiment_id or "\\" in experiment_id or experiment_id in (".", ".."):
+    # The id names the output files, so it must not reach another directory
+    # or hold a character no file name can.
+    if any(c in experiment_id for c in "/\\\0") or experiment_id in (".", ".."):
         raise ConfigurationError(
             f"{location}: experiment_id must be a plain file name, got {experiment_id!r}")
     base_seed = raw.get("base_seed")
@@ -311,7 +309,8 @@ def load_config(source) -> ExperimentConfig:
     flat = {k: v for k, v in abco_raw.items() if k not in known}
     abco_configs = {}
     for fn in dict.fromkeys([*functions, *(k for k in abco_raw if k in known), *overrides]):
-        layers = [_preset_layer(fn), ("abco", flat), (f"abco.{fn}", abco_raw.get(fn, {}))]
+        layers = [(f"presets/abco.json:{fn}", abco_preset(fn)), ("abco", flat),
+                  (f"abco.{fn}", abco_raw.get(fn, {}))]
         if fn in overrides:
             layers.append((f"population_overrides.{fn}", {"size": overrides[fn]}))
         abco_configs[fn] = _resolve(AbcoConfig, location, layers, iterations=iterations)
@@ -372,10 +371,6 @@ def _execute_run(task) -> RunRecord:
         return failed
 
 
-def _cell_config(cfg: ExperimentConfig, function_id: str, algorithm_id: str):
-    return cfg.abco[function_id] if algorithm_id == "abco" else getattr(cfg, algorithm_id)
-
-
 def _worker_count(task_count: int) -> int:
     raw = os.environ.get("SWARM_OPT_THREADS", "").strip() or "0"
     try:
@@ -401,7 +396,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     tasks = []
     for function_id in cfg.functions:
         for algorithm_id in cfg.algorithms:
-            cell_cfg = _cell_config(cfg, function_id, algorithm_id)
+            cell_cfg = (cfg.abco[function_id] if algorithm_id == "abco"
+                        else getattr(cfg, algorithm_id))
             for run_index in range(cfg.runs_per_cell):
                 seed = derive_seed(cfg.base_seed, function_id, algorithm_id, run_index)
                 tasks.append((cfg.experiment_id, function_id, algorithm_id,
@@ -487,30 +483,29 @@ def _cells(records) -> dict:
             for cell in order}
 
 
-def write_summary(records, metric: str, out_path, cells=None) -> None:
+def write_summary(records, metric: str, out_path) -> None:
     """Write each cell's statistics of one metric ('error' or
     'runtime_seconds') as CSV, in function-major order, failed runs
-    excluded. `cells` is the records' grouping, if already made."""
+    excluded."""
     with open(Path(out_path), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["function", "algorithm", "best", "worst", "mean", "std", "n"])
-        for (function_id, algorithm_id), (_, stats) in (cells or _cells(records)).items():
+        for (function_id, algorithm_id), (_, stats) in _cells(records).items():
             summary = stats[metric]
             writer.writerow([function_id, algorithm_id, repr(summary.best),
                              repr(summary.worst), repr(summary.mean), repr(summary.std),
                              summary.n])
 
 
-def render_table(records, cells=None) -> str:
+def render_table(records) -> str:
     """Text table of per-function statistics: for each function, error and
     runtime rows (best/worst/mean/std) with one column per algorithm; the
     best entry in each row is starred. Lower is better for every row, std
-    included (it measures reliability across runs). `cells` is the
-    records' grouping, if already made."""
+    included (it measures reliability across runs)."""
     if not records:
         raise ValueError("render_table needs at least one record")
     lines = []
-    for function_id, group in groupby((cells or _cells(records)).items(),
+    for function_id, group in groupby(_cells(records).items(),
                                       key=lambda item: item[0][0]):
         present = [(algorithm_id, *summary) for (_, algorithm_id), summary in group]
         # The header row, then best/worst/mean/std of error and of runtime.
@@ -543,17 +538,6 @@ def _parse_param(text: str) -> tuple[str, object]:
         return key, value
 
 
-def _run_config(args):
-    """The optimizer config for the `run` subcommand: the bundled preset
-    (colony only), then --param, with --pop-size as size."""
-    params = dict(_parse_param(p) for p in args.param or [])
-    if args.pop_size is not None:
-        params["size"] = args.pop_size
-    layers = [_preset_layer(args.function)] if args.algorithm == "abco" else []
-    layers.append((args.algorithm, params))
-    return _resolve(_CONFIG_CLASSES[args.algorithm], "run", layers, iterations=args.iters)
-
-
 def _cmd_list(_args) -> int:
     print("functions:", *(f"  {name}" for name in list_functions()), sep="\n")
     print("algorithms:", *(f"  {name}" for name in ALGORITHMS), sep="\n")
@@ -566,12 +550,14 @@ def _cmd_run(args) -> int:
     if args.pop_size is not None:
         _positive_int("run", "--pop-size", args.pop_size)
     spec_of(args.function)
-    cfg = _run_config(args)
-    experiment_id = f"run-{args.algorithm}-{args.function}"
-    tasks = [(experiment_id, args.function, args.algorithm, i,
-              derive_seed(args.seed, args.function, args.algorithm, i), cfg)
-             for i in range(args.runs)]
-    records = [_execute_run(t) for t in tasks]
+    block = dict(_parse_param(p) for p in args.param or [])
+    if args.pop_size is not None:
+        block["size"] = args.pop_size
+    records = run_experiment(_parse_config({
+        "experiment_id": f"run-{args.algorithm}-{args.function}",
+        "base_seed": args.seed, "iter": args.iters, "runs_per_cell": args.runs,
+        "functions": [args.function], "algorithms": [args.algorithm],
+        args.algorithm: block}, "run"))
     if args.out:
         write_results(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
@@ -581,33 +567,32 @@ def _cmd_run(args) -> int:
               f"error best {error.best:.6g}, worst {error.worst:.6g}, "
               f"mean {error.mean:.6g}, std {error.std:.6g}; "
               f"mean runtime {runtime.mean:.4f}s")
-    failed = sum(r.failed for r in records)
-    if failed:
-        print(f"{failed} runs failed", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_status(records)
 
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    records = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    records = run_experiment(cfg)
     records_path = out_dir / f"{cfg.experiment_id}_records.csv"
     error_path = out_dir / f"{cfg.experiment_id}_error_summary.csv"
     runtime_path = out_dir / f"{cfg.experiment_id}_runtime_summary.csv"
     write_results(records, records_path)
-    cells = _cells(records)
-    write_summary(records, "error", error_path, cells)
-    write_summary(records, "runtime_seconds", runtime_path, cells)
+    write_summary(records, "error", error_path)
+    write_summary(records, "runtime_seconds", runtime_path)
     print(f"wrote {records_path}, {error_path} and {runtime_path}")
     print()
-    print(render_table(records, cells), end="")
+    print(render_table(records), end="")
+    return _exit_status(records)
+
+
+def _exit_status(records) -> int:
+    """1, after saying how many runs failed, if any did; else 0."""
     failed = sum(r.failed for r in records)
     if failed:
         print(f"{failed} runs failed", file=sys.stderr)
-        return 1
-    return 0
+    return int(failed > 0)
 
 
 def _cmd_table(args) -> int:

@@ -7,10 +7,11 @@ one exception is the colony's squared norm, squared_norm: the BLAS dot
 `v @ v`, which _step_toward and explore take, is defined here once. No
 definition calls the swarmopt function it is the reference for:
 _step_toward, tumble_step, k_nearest, rank_neighbours, euclidean,
-_distance_matrix and repair_bounds are not imported.
+_distance_matrix, repair_bounds and rank_weights are not imported.
 """
 
 import bisect
+import itertools
 import math
 import struct
 from dataclasses import fields, replace
@@ -18,8 +19,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from swarmopt.abco import AbcoConfig, Colony, RunState
-from swarmopt.baselines import rank_weights
-from swarmopt.benchmarks import ObjectiveSpec, spec_of
+from swarmopt.benchmarks import ObjectiveSpec, list_functions, spec_of
 from swarmopt.core import OptimizationMode, RngStream, SearchSpace, minimised, seed_population
 from swarmopt.harness import abco_preset
 
@@ -203,6 +203,17 @@ def reference_reproduce(state, cfg, objective, space, rng):
     return state
 
 
+def guide_weights(size: int, intent_factor: float) -> list[float]:
+    """ACO's guide weight per archive rank: libm's exp of the rank's
+    Gaussian exponent over spread * sqrt(2 pi), each entry then over the
+    entries' np.sum."""
+    spread = intent_factor * size
+    raw = [math.exp(-(rank * rank) / (2.0 * spread**2)) / (spread * math.sqrt(2.0 * math.pi))
+           for rank in map(float, range(size))]
+    total = float(np.sum(raw))
+    return [value / total for value in raw]
+
+
 def per_ant_acor(objective, cfg, rng):
     """run_acor's loop one ant at a time: the iteration's guide uniforms
     first, then per ant a bisected guide, a per-guide np.sum of archive
@@ -214,7 +225,7 @@ def per_ant_acor(objective, cfg, rng):
     values = np.array([float(evaluate(p)) for p in positions])
     order = survivors(values, n)
     positions, values = positions[order], values[order]
-    cumulative = np.cumsum(rank_weights(n, cfg.intent_factor)).tolist()
+    cumulative = np.cumsum(guide_weights(n, cfg.intent_factor)).tolist()
     history = [sign * float(values[0])]
     evaluations = n
     for _ in range(cfg.iterations):
@@ -441,6 +452,26 @@ def resized_spec(function_id: str, dim: int) -> ObjectiveSpec:
     spec = spec_of(function_id)
     space = SearchSpace(dim, spec.space.lower, spec.space.upper)
     return replace(spec, space=space, known_argmin=spec.known_argmin[:1] * dim)
+
+
+COLUMN_CASES = (
+    [(name, 2) for name in list_functions()]
+    + [(name, dim) for name in ("rastrigin", "sphere") for dim in (1, 3, 4, 5, 6)]
+    + [("rosenbrock", dim) for dim in (3, 4, 5, 6)]
+)
+
+
+def probe_rows(name: str, dim: int, count: int = 20_000) -> np.ndarray:
+    """Uniform rows over the box widened by a quarter width on each side,
+    then the argmin, the origin and the corners of both boxes."""
+    space = spec_of(name).space
+    quarter = (space.upper - space.lower) / 4.0
+    wide = (space.lower - quarter, space.upper + quarter)
+    uniform = RngStream(dim * 1000 + len(name)).uniform(*wide, size=(count, dim))
+    special = [np.resize(spec_of(name).known_argmin, dim), np.zeros(dim)]
+    special += [corner for bounds in ((space.lower, space.upper), wide)
+                for corner in itertools.product(bounds, repeat=dim)]
+    return np.vstack([uniform, np.array(special, dtype=float)])
 
 
 def recording(spec, sink):

@@ -18,6 +18,7 @@ from swarmopt.core import ConfigurationError, OptimizationMode, RngStream, Searc
 from oracle import (
     adhoc_objective,
     counting_repairs,
+    guide_weights,
     inside,
     per_ant_acor,
     per_particle_pso,
@@ -146,6 +147,13 @@ def test_rank_weights_match_gaussian_kernel():
     spread = q * size
     raw = np.exp(-np.arange(size) ** 2 / (2.0 * spread**2))
     assert np.allclose(weights, raw / raw.sum())
+
+
+@pytest.mark.parametrize("intent_factor", [0.01, 0.1, 0.5, 1.0])
+def test_rank_weights_equal_the_libm_reference_bit_for_bit(intent_factor):
+    for size in range(2, 101):
+        expected = np.array(guide_weights(size, intent_factor))
+        assert rank_weights(size, intent_factor).tobytes() == expected.tobytes(), size
 
 
 def test_rank_weights_reject_degenerate_input():

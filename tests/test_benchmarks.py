@@ -15,7 +15,7 @@ from swarmopt.core import (
     evaluate_rows,
     minimised,
 )
-from oracle import inside
+from oracle import COLUMN_CASES, inside, probe_rows
 
 EXPECTED_DOMAINS = {
     "ackley": (-5.0, 5.0),
@@ -91,26 +91,6 @@ def test_evaluators_reject_bad_shape():
     assert evaluate("sphere", (1.0, 2.0, 2.0)) == pytest.approx(9.0)
     with pytest.raises(ValueError, match="rosenbrock takes 2 or more coordinates, got 1"):
         evaluate("rosenbrock", (1.0,))
-
-
-COLUMN_CASES = (
-    [(name, 2) for name in list_functions()]
-    + [(name, dim) for name in ("rastrigin", "sphere") for dim in (1, 3, 4, 5, 6)]
-    + [("rosenbrock", dim) for dim in (3, 4, 5, 6)]
-)
-
-
-def probe_rows(name: str, dim: int, count: int = 20_000) -> np.ndarray:
-    """Uniform rows over the box widened by a quarter width on each side,
-    then the argmin, the origin and the corners of both boxes."""
-    space = spec_of(name).space
-    quarter = (space.upper - space.lower) / 4.0
-    wide = (space.lower - quarter, space.upper + quarter)
-    uniform = RngStream(dim * 1000 + len(name)).uniform(*wide, size=(count, dim))
-    special = [np.resize(spec_of(name).known_argmin, dim), np.zeros(dim)]
-    special += [corner for bounds in ((space.lower, space.upper), wide)
-                for corner in itertools.product(bounds, repeat=dim)]
-    return np.vstack([uniform, np.array(special, dtype=float)])
 
 
 @pytest.mark.parametrize("name,dim", COLUMN_CASES)

@@ -101,14 +101,21 @@ TUNED = {
 }
 
 
-def test_bundled_preset_pins_each_functions_colony_config():
+def captured_runs(monkeypatch) -> list:
+    """The configs cli_main hands to run_experiment, which runs none of them."""
+    configs = []
+    monkeypatch.setattr(harness, "run_experiment", lambda cfg: configs.append(cfg) or [])
+    return configs
+
+
+def test_bundled_preset_pins_each_functions_colony_config(monkeypatch):
     exp2 = load_config("experiment2")
-    parser = harness._build_parser()
+    configs = captured_runs(monkeypatch)
     for name in list_functions():
         expected = AbcoConfig(size=25, iterations=100, **TUNED.get(name, {}))
         assert exp2.abco[name] == expected
-        argv = ["run", "--algorithm", "abco", "--function", name]
-        assert harness._run_config(parser.parse_args(argv)) == expected
+        assert cli_main(["run", "--algorithm", "abco", "--function", name]) == 0
+        assert configs.pop().abco[name] == expected
     assert abco_preset("ackley") == {}
     assert abco_preset("sphere") == {"N_tum": 3, "s": 0.5, "k": 15}
 
@@ -272,7 +279,7 @@ def test_non_finite_values_are_rejected_from_files_and_params(tmp_path, capsys):
     assert capsys.readouterr().err == "error: run: aco.intent_factor must be finite, got inf\n"
 
 
-@pytest.mark.parametrize("experiment_id", ["sub/run", "../x", "sub\\run", ".", ".."])
+@pytest.mark.parametrize("experiment_id", ["sub/run", "../x", "sub\\run", ".", "..", "a\u0000b"])
 def test_experiment_id_must_be_a_plain_file_name(tmp_path, monkeypatch, capsys, experiment_id):
     monkeypatch.setattr(harness, "run_experiment", lambda cfg: pytest.fail("a run started"))
     path = tiny_config(tmp_path, experiment_id=experiment_id)
@@ -749,6 +756,27 @@ def test_cli_run_param_overrides_reach_the_optimizer(tmp_path, capsys):
     assert read_results(out)[0].evaluations > 0
 
 
+def test_cli_run_param_takes_what_a_config_abco_block_takes(monkeypatch, capsys):
+    configs = captured_runs(monkeypatch)
+    assert cli_main(["run", "--algorithm", "abco", "--function", "sphere",
+                     "--param", "k=4", "--param", 'sphere={"k": 3, "size": 9}',
+                     "--pop-size", "12"]) == 0
+    assert (configs[0].abco["sphere"].neighbor_count, configs[0].abco["sphere"].size) == (3, 9)
+    # A block for a function that does not run is checked, and changes nothing.
+    assert cli_main(["run", "--algorithm", "abco", "--function", "booth",
+                     "--param", 'sphere={"k": 3}', "--pop-size", "12"]) == 0
+    assert configs[1].abco["booth"] == AbcoConfig(size=12, iterations=100)
+    assert cli_main(["run", "--algorithm", "abco", "--function", "booth",
+                     "--param", 'sphere={"k": 0}']) == 1
+    assert "error: run: abco.sphere.k must be" in capsys.readouterr().err
+
+
+def test_cli_run_honours_swarm_opt_threads(monkeypatch, capsys):
+    monkeypatch.setenv("SWARM_OPT_THREADS", "-1")
+    assert cli_main(["run", "--algorithm", "pso", "--function", "booth"]) == 1
+    assert capsys.readouterr().err == "error: SWARM_OPT_THREADS must be 0 or more, got '-1'\n"
+
+
 @pytest.mark.parametrize("experiment,function,algorithm,pop_size", [
     ("experiment3", "sphere", "abco", 15),
     ("experiment3", "booth", "aco", 100),
@@ -761,12 +789,18 @@ def test_cli_run_reproduces_a_slice_of_an_experiment(
     argv = ["run", "--algorithm", algorithm, "--function", function,
             "--pop-size", str(pop_size), "--iters", str(cfg.iterations),
             "--runs", "2", "--seed", str(cfg.base_seed)]
-    run_cfg = harness._run_config(harness._build_parser().parse_args(argv))
-    assert run_cfg == harness._cell_config(cfg, function, algorithm)
+    configs = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda run_cfg: configs.append(run_cfg) or run_experiment(run_cfg))
 
     out = tmp_path / "cell.csv"
     assert cli_main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
+
+    def cell(experiment):
+        return experiment.abco[function] if algorithm == "abco" else getattr(experiment, algorithm)
+
+    assert cell(configs[0]) == cell(cfg)
     sliced = run_experiment(replace(cfg, functions=[function], algorithms=[algorithm],
                                     runs_per_cell=2))
 
@@ -802,6 +836,17 @@ def test_cli_experiment_end_to_end(tmp_path, monkeypatch, capsys):
     # the table subcommand reproduces the same rendering from the file
     assert cli_main(["table", "--in", str(records_csv)]) == 0
     assert capsys.readouterr().out == render_table(records)
+
+
+def test_cli_experiment_refuses_an_out_dir_that_is_a_file_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    configs = captured_runs(monkeypatch)
+    out_dir = tmp_path / "results"
+    out_dir.write_text("")
+    assert cli_main(["experiment", "--config", str(tiny_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert configs == []
 
 
 def test_summary_files_have_expected_header(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 CHECKED = {"_step_toward", "tumble_step", "k_nearest", "rank_neighbours", "euclidean",
-           "_distance_matrix", "repair_bounds"}
+           "_distance_matrix", "repair_bounds", "rank_weights"}
 
 
 def imports(path):
