@@ -18,10 +18,10 @@ call, which draws only if the round left the box; in exploit per step.
 
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
-Each exploit pass builds the distance matrix once from a (d, n) copy of
-the positions; moved columns reach the rows still to be ranked in blocks
-(see _distance_matrix). A move stays a list of Python floats up to the
-row writes; only one that leaves the box is repaired, then it is evaluated.
+Exploit builds each block of _BLOCK_SIZE members' rows from a (d, n) copy
+of the positions at the block's start. A move stays a list of Python
+floats up to its entries in the block's later rows; only one that leaves
+the box is repaired, then it is evaluated.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row, and evaluates them in one
 core.evaluate_rows call. Explore runs one loop of chained rounds, each
@@ -74,8 +74,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_ELEMENTS = 1 << 17  # floats in one (d, rows, n) distance block, ~1 MB
-_FLUSH_PERIOD = 8  # members per block write in exploit; 4 tied it, 16 was 2-9% slower
+_BLOCK_SIZE = 8  # members whose exploit rows one euclidean call builds; 4 and 16 were slower
 
 
 def _round_half_up(value: float) -> int:
@@ -184,11 +183,13 @@ def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.nd
 
     The stream is the round-by-round one: per round a (size, dim) batch of
     directions, then each all-zero row redrawn in order. All rounds are one
-    draw; only if it holds a zero square is it re-read that way, a redraw
-    taking the draw's next row and, past its end, a new one.
+    draw; only if a row's squared norm is zero is it re-read that way, a
+    redraw taking the draw's next row and, past its end, a new one.
     """
     directions = rng.standard_normal((cfg.explore_steps * cfg.tumble_steps, size, dim))
-    if not (directions * directions).all():  # with no zero square, no squared norm is zero
+    # Stacked matmul gives the same squared norm as direction @ direction.
+    squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
+    if not squares.all():
         rows = itertools.chain(directions.reshape(-1, dim).copy(),
                                map(rng.standard_normal, itertools.repeat(dim)))
         for batch in directions:
@@ -198,8 +199,7 @@ def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.nd
                 while squared[row] == 0.0:
                     batch[row] = next(rows)
                     squared[row] = batch[row] @ batch[row]
-    # Stacked matmul gives the same squared norm as direction @ direction.
-    squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
+        squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
     return (cfg.step_size / np.sqrt(squares))[..., None] * directions
 
 
@@ -277,22 +277,6 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     return state
 
 
-def _distance_matrix(columns: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix whose row s is k_nearest's distances from member s.
-
-    `columns` is the (d, n) coordinate-major copy of the positions; rows
-    go through euclidean in (d, rows, n) blocks near _BLOCK_ELEMENTS floats.
-    Exploit writes moved columns into later rows from their unmoved columns (negation is
-    exact), in blocks and in Python floats between. For d <= 2 all summation orders agree.
-    """
-    dim, size = columns.shape
-    rows = max(1, _BLOCK_ELEMENTS // (size * dim))
-    distances = np.empty((size, size))
-    for block in (slice(start, start + rows) for start in range(0, size, rows)):
-        distances[block] = euclidean(columns[:, None], columns[:, block, None])
-    return distances
-
-
 def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Pull each member toward the best find among its k nearest neighbours.
 
@@ -300,10 +284,13 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     spatial neighbourhood; movement happens only when that memory is
     strictly better than the member's own, so local champions hold their
     ground. Members update sequentially, so later members see earlier
-    moves within the same pass: a ranked row holds the movers' new columns
-    as euclidean gives them. A step between two in-box points leaves the
-    box only by rounding, so only a step with a coordinate outside the box
-    goes through repair_bounds, which would draw nothing for the rest.
+    moves within the same pass: a block of _BLOCK_SIZE members ranks rows
+    one euclidean call builds where every member stands at the block's
+    start, and the block's earlier moves reach them as Python-float
+    entries in euclidean's operations and order. A step between two in-box
+    points leaves the box only by rounding, so only a step with a
+    coordinate outside the box goes through repair_bounds, which would
+    draw nothing for the rest.
     """
     colony = state.population
     size = len(colony)
@@ -315,16 +302,12 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     positions, best_positions = colony.positions, colony.best_positions
     best_keys = quality_key(colony.best_values).tolist()
     moves = rolled_back = 0
-    for _ in range(cfg.exploit_steps):
+    for _, start in itertools.product(range(cfg.exploit_steps), range(0, size, _BLOCK_SIZE)):
         columns = positions.T.copy()
-        distances = _distance_matrix(columns)
-        pending = []  # (index, landing) of the moves not yet in every later row
-        for index, row, current in zip(range(size), distances, positions):
-            if pending and index % _FLUSH_PERIOD == 0:
-                distances[index:, index - _FLUSH_PERIOD:index] = euclidean(
-                    columns[:, index:, None], positions[index - _FLUSH_PERIOD:index].T[:, None])
-                pending = []
-            elif pending:  # core.euclidean's operations in its order; 0.0 + x is x for x >= 0
+        rows = euclidean(columns[:, None], columns[:, start:start + _BLOCK_SIZE, None])
+        pending = []  # (index, landing) of this block's moves
+        for index, row, current in zip(range(start, size), rows, positions[start:]):
+            if pending:  # core.euclidean's operations in its order; 0.0 + x is x for x >= 0
                 here = current.tolist()
                 for mover, landing in pending:
                     total = 0.0

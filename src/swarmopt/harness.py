@@ -553,11 +553,14 @@ def _cmd_run(args) -> int:
     block = dict(_parse_param(p) for p in args.param or [])
     if args.pop_size is not None:
         block["size"] = args.pop_size
-    records = run_experiment(_parse_config({
+    cfg = _parse_config({
         "experiment_id": f"run-{args.algorithm}-{args.function}",
         "base_seed": args.seed, "iter": args.iters, "runs_per_cell": args.runs,
         "functions": [args.function], "algorithms": [args.algorithm],
-        args.algorithm: block}, "run"))
+        args.algorithm: block}, "run")
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    records = run_experiment(cfg)
     if args.out:
         write_results(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")

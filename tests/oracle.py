@@ -7,7 +7,7 @@ one exception is the colony's squared norm, squared_norm: the BLAS dot
 `v @ v`, which _step_toward and explore take, is defined here once. No
 definition calls the swarmopt function it is the reference for:
 _step_toward, tumble_step, k_nearest, rank_neighbours, euclidean,
-_distance_matrix, repair_bounds and rank_weights are not imported.
+repair_bounds and rank_weights are not imported.
 """
 
 import bisect

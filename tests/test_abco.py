@@ -58,6 +58,7 @@ from oracle import (
 )
 
 SPACE = SearchSpace(2, -5.0, 5.0)
+BLOCK = abco._BLOCK_SIZE
 
 
 # --- configuration ---------------------------------------------------------
@@ -573,24 +574,17 @@ def test_population_of_one_warns_once_per_run(caplog):
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
-def test_distance_matrix_and_ranking_match_k_nearest(dim):
-    # At 400 rows the matrix crosses a block boundary in every dimension;
-    # there every fifth subject and the rows either side of each boundary
-    # are checked.
-    block = abco._BLOCK_ELEMENTS // (400 * dim)
-    assert block < 400
-    edges = {row for start in range(block, 400, block) for row in (start - 1, start)}
+def test_ranking_matches_k_nearest(dim):
+    # At 400 rows every fifth subject is checked.
     rng = np.random.default_rng(dim)
     for size in (2, 3, 25, 400):
-        subjects = sorted(edges | {*range(0, size, 5), size - 1}) if size == 400 else range(size)
+        subjects = sorted({*range(0, size, 5 if size == 400 else 1), size - 1})
         for positions in neighbour_layouts(size, dim, rng):
-            matrix = abco._distance_matrix(positions.T)
             for subject in subjects:
                 row = distances(positions, subject)
-                assert matrix[subject].tobytes() == np.array(row).tobytes(), (size, subject)
                 order = neighbour_order(row, subject, size)
                 for k in (1, 2, size):
-                    assert rank_neighbours(matrix[subject].copy(), subject, k) == order[:k]
+                    assert rank_neighbours(np.array(row), subject, k) == order[:k], (size, subject)
 
 
 def einsum_distances(positions, subject):
@@ -598,20 +592,20 @@ def einsum_distances(positions, subject):
     return np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
 
 
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 25])
 @pytest.mark.parametrize("dim", range(1, 11))
-def test_distances_add_squares_in_coordinate_order(dim, monkeypatch):
-    # Checked bit for bit: every row of the pass matrix, and every row
-    # exploit ranks by, refreshed columns included. For d <= 2 one addition
-    # of two rounded squares gives the same bits in any order, so einsum's
-    # kernel agrees there too.
+def test_distances_add_squares_in_coordinate_order(dim, size, monkeypatch):
+    # Checked bit for bit: every row exploit ranks by, the block's moved
+    # columns included, at sizes either side of block edges. For d <= 2 one
+    # addition of two rounded squares gives the same bits in any order, so
+    # einsum's kernel agrees there too.
     def expected(positions, subject):
         reference = np.array(distances(positions, subject))
         if dim <= 2:
             assert einsum_distances(positions, subject).tobytes() == reference.tobytes()
         return reference.tobytes()
 
-    rng = np.random.default_rng(100 + dim)
-    size = 25
+    rng = np.random.default_rng(100 * size + dim)
     ranked = []
 
     def recording(row, subject, k):
@@ -621,18 +615,19 @@ def test_distances_add_squares_in_coordinate_order(dim, monkeypatch):
     monkeypatch.setattr(abco, "rank_neighbours", recording)
     cfg = AbcoConfig(size=size, neighbor_count=3, exploit_steps=2, step_size=0.5)
     space = SearchSpace(dim, -5.0, 5.0)
+    patched = 0  # rows ranked after a move earlier in their block
     for positions in neighbour_layouts(size, dim, rng):
-        matrix = abco._distance_matrix(positions.T.copy())
-        for subject in range(size):
-            assert matrix[subject].tobytes() == expected(positions, subject)
         colony = Colony.fresh(positions.copy(), np.array([sphere(p) for p in positions]))
         state = fresh_state(colony)
         ranked.clear()
         exploit_stage(state, cfg, sphere, space, RngStream(dim))
         assert len(ranked) == cfg.exploit_steps * size
-        assert state.diagnostics["exploit_moves"] > 0
         for subject, row, at in ranked:
             assert row.tobytes() == expected(at, subject)
+            if subject % BLOCK == 0:
+                block_start = at
+            patched += not np.array_equal(at, block_start)
+    assert patched > 0
 
 
 # --- reproduce -------------------------------------------------------------
@@ -750,14 +745,11 @@ def test_stage_matches_its_member_by_member_reference(monkeypatch, stage, refere
         assert not any(ranks.flags.writeable for *_, plan in plans for _, ranks in plan)
 
 
-FLUSH = abco._FLUSH_PERIOD
-
-
-@pytest.mark.parametrize("size", [FLUSH - 1, FLUSH, FLUSH + 1, 2 * FLUSH + 1, 25, 100])
-def test_exploit_matches_its_reference_across_flush_blocks(monkeypatch, size):
-    # Moved members' columns reach the later rows FLUSH members at a time,
-    # and each row in between gets them one entry at a time: sizes either
-    # side of one and two blocks, d = 1-6 and k = 1, 2, 5, 15. Every other
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 25, 100])
+def test_exploit_matches_its_reference_across_row_blocks(monkeypatch, size):
+    # Each block of BLOCK rows is built where the members stand at its
+    # start, and a move reaches the block's later rows one entry at a time:
+    # sizes either side of one and two blocks, d = 1-6 and k = 1, 2, 5, 15. Every other
     # case seeds a box a quarter width wider on each side, so steps leave
     # the real box and are repaired; a nan region in a third of the cases
     # gives nan bests and rollbacks, and values rounded down to halves in
@@ -794,26 +786,31 @@ def test_exploit_matches_its_reference_across_flush_blocks(monkeypatch, size):
     assert moves > size and rollbacks > 0 and repaired > 0
 
 
-def test_exploit_writes_moved_columns_once_per_block(monkeypatch):
-    # A pass calls euclidean once per matrix block and then at most once
-    # per FLUSH members, at least once when members move; every pass here
-    # moves more members than that bound, so a call per move would exceed it.
-    calls = []
-    monkeypatch.setattr(abco, "euclidean", lambda *points: calls.append(1) or euclidean(*points))
-    for size, dim in ((100, 2), (25, 3), (400, 10), (FLUSH + 1, 1)):
+def test_exploit_builds_each_block_of_rows_in_one_call(monkeypatch):
+    # A pass calls euclidean once per BLOCK members and never for more rows,
+    # so no (n, n) matrix is built; every pass here moves more members than
+    # that count, so a call per move would exceed it.
+    shapes = []
+
+    def recording(*points):
+        rows = euclidean(*points)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(abco, "euclidean", recording)
+    for size, dim in ((100, 2), (25, 3), (400, 10), (BLOCK + 1, 1)):
         space = SearchSpace(dim, -5.0, 5.0)
         cfg = AbcoConfig(size=size, neighbor_count=2, step_size=0.05)
         rng = RngStream(size + dim)
         state = fresh_state(seeded(space, size, sphere, rng))
-        rows = max(1, abco._BLOCK_ELEMENTS // (size * dim))
-        blocks = -(-size // rows)
-        bound = blocks + -(-size // FLUSH)
+        blocks = [min(BLOCK, size - start) for start in range(0, size, BLOCK)]
         for _ in range(3):
-            calls.clear()
+            shapes.clear()
             before = state.diagnostics.get("exploit_moves", 0)
             exploit_stage(state, cfg, sphere, space, rng)
             moved = state.diagnostics["exploit_moves"] - before
-            assert blocks < len(calls) <= bound < moved, (size, dim, len(calls), moved)
+            assert shapes == [(rows, size) for rows in blocks], (size, dim)
+            assert len(shapes) < moved, (size, dim, moved)
 
 
 # --- early stop ------------------------------------------------------------

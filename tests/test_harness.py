@@ -744,6 +744,21 @@ def test_cli_run_writes_records(tmp_path, capsys):
     assert records[0].seed == derive_seed(17, "booth", "pso", 0)
 
 
+def test_cli_run_makes_the_out_directory_before_any_run(tmp_path, monkeypatch, capsys):
+    configs = captured_runs(monkeypatch)
+    out = tmp_path / "missing" / "deeper" / "cell.csv"
+    argv = ["run", "--algorithm", "pso", "--function", "booth", "--runs", "2"]
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert len(configs) == 1 and read_results(out) == []
+    capsys.readouterr()
+    # A parent that is a file fails before the cell runs.
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    assert cli_main(argv + ["--out", str(blocked / "cell.csv")]) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert len(configs) == 1
+
+
 def test_cli_run_param_overrides_reach_the_optimizer(tmp_path, capsys):
     out = tmp_path / "cell.csv"
     code = cli_main([
