@@ -19,9 +19,14 @@ call, which draws only if the round left the box; in exploit per step.
 numpy fills a batch with the same sequential normals as single draws, so
 a round without zero rows draws what one tumble_step per member would.
 Exploit builds each block of _BLOCK_SIZE members' rows from a (d, n) copy
-of the positions at the block's start. A move stays a list of Python
-floats up to its entries in the block's later rows; only one that leaves
-the box is repaired, then it is evaluated.
+of the positions at the block's start, and the members' coordinates as
+Python floats from one tolist. A move stays a list of Python floats up to
+its entries in the block's later rows; only one that leaves the box is
+repaired, then it is evaluated. At d = 2, every bundled function's, the
+entries, the step and the bounds test are unrolled, bit for bit the loops
+other dimensions take; the step's squared norm stays the BLAS
+offset.dot(offset), which a Python o0 * o0 + o1 * o1 misses on about one
+offset in six.
 Reproduce builds its replacements in k matrix steps with the same
 per-element arithmetic as row by row, and evaluates them in one
 core.evaluate_rows call. Explore runs one loop of chained rounds, each
@@ -74,7 +79,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_SIZE = 8  # members whose exploit rows one euclidean call builds; 4 and 16 were slower
+# Members whose exploit rows one euclidean call builds. Re-timed with the
+# plane step, run_abco over the ten functions against 8: 4 ran 1.02-1.10x,
+# 16 0.99-1.01x at n = 100 and 0.96-0.98x at n = 25, 32 1.04-1.06x at n = 100.
+_BLOCK_SIZE = 8
 
 
 def _round_half_up(value: float) -> int:
@@ -203,19 +211,6 @@ def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.nd
     return (cfg.step_size / np.sqrt(squares))[..., None] * directions
 
 
-def _step_toward(current: np.ndarray, target: np.ndarray, step_size: float) -> list[float]:
-    """Step from (d,) float64 array current toward target by at most step_size, never past it.
-
-    Returns a list of floats: target once within reach, else per coordinate
-    `c + step_size / distance * o`, as numpy's `current + (step_size / distance) * offset`.
-    """
-    offset = target - current
-    distance = math.sqrt(offset.dot(offset))
-    if distance <= step_size:
-        return target.tolist()
-    return [c + step_size / distance * o for c, o in zip(current.tolist(), offset.tolist())]
-
-
 def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
     """Random-walk passes with personal-best tracking.
 
@@ -287,10 +282,12 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     moves within the same pass: a block of _BLOCK_SIZE members ranks rows
     one euclidean call builds where every member stands at the block's
     start, and the block's earlier moves reach them as Python-float
-    entries in euclidean's operations and order. A step between two in-box
-    points leaves the box only by rounding, so only a step with a
-    coordinate outside the box goes through repair_bounds, which would
-    draw nothing for the rest.
+    entries in euclidean's operations and order. A step ends on the target
+    once within reach, else at c + (step_size / distance) * o per
+    coordinate, distance from the BLAS offset.dot(offset); at d = 2 both
+    are unrolled. A step between two in-box points leaves the box only by
+    rounding, so only a step with a coordinate outside the box goes
+    through repair_bounds, which would draw nothing for the rest.
     """
     colony = state.population
     size = len(colony)
@@ -298,17 +295,24 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
         _tally(state.diagnostics, exploit_skipped=1)
         return state
     step_size, neighbour_count = cfg.step_size, cfg.neighbor_count
-    lower, upper = space.lower, space.upper
+    lower, upper, plane = space.lower, space.upper, space.dim == 2
     positions, best_positions = colony.positions, colony.best_positions
     best_keys = quality_key(colony.best_values).tolist()
     moves = rolled_back = 0
     for _, start in itertools.product(range(cfg.exploit_steps), range(0, size, _BLOCK_SIZE)):
         columns = positions.T.copy()
         rows = euclidean(columns[:, None], columns[:, start:start + _BLOCK_SIZE, None])
+        block = positions[start:start + _BLOCK_SIZE]
         pending = []  # (index, landing) of this block's moves
-        for index, row, current in zip(range(start, size), rows, positions[start:]):
-            if pending:  # core.euclidean's operations in its order; 0.0 + x is x for x >= 0
-                here = current.tolist()
+        # A pending move's entry repeats core.euclidean's operations in its
+        # order, (0.0 + a * a) + b * b being a * a + b * b in the plane.
+        for index, row, current, here in zip(range(start, size), rows, block, block.tolist()):
+            if plane:
+                h0, h1 = here
+                for mover, (q0, q1) in pending:
+                    a, b = h0 - q0, h1 - q1
+                    row[mover] = math.sqrt(a * a + b * b)
+            else:
                 for mover, landing in pending:
                     total = 0.0
                     for p, q in zip(here, landing):
@@ -322,11 +326,19 @@ def exploit_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
                     target_key = best_keys[neighbour_index]
             if target_index is None:
                 continue
-            moved = _step_toward(current, best_positions[target_index], step_size)
-            for x in moved:
-                if not lower <= x <= upper:
-                    moved = repair_bounds(moved, space, rng).tolist()
-                    break
+            target = best_positions[target_index]
+            offset = target - current
+            distance = math.sqrt(offset.dot(offset))  # BLAS: a Python sum rounds differently
+            if distance <= step_size:
+                moved = target.tolist()
+            elif plane:
+                scale, (o0, o1) = step_size / distance, offset.tolist()
+                moved = [h0 + scale * o0, h1 + scale * o1]
+            else:
+                moved = [c + step_size / distance * o for c, o in zip(here, offset.tolist())]
+            if not (lower <= moved[0] <= upper and lower <= moved[1] <= upper if plane
+                    else all(lower <= x <= upper for x in moved)):
+                moved = repair_bounds(moved, space, rng).tolist()
             value = float(objective(moved))
             state.evaluations += 1
             if not math.isfinite(value):

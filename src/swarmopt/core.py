@@ -337,7 +337,9 @@ def drive(objective, size: int, rng: RngStream, search, run: Run | None = None) 
 
 def euclidean(others, subjects) -> np.ndarray:
     """Distances between coordinate-major (d, ...) points: squares added in coordinate order.
-    abco.exploit_stage repeats this order in Python floats, so change both together."""
+    abco.exploit_stage repeats this order in Python floats, unrolled as
+    math.sqrt(a * a + b * b) at d = 2 and summed from 0.0 in a loop
+    otherwise, so change all three together."""
     deltas = others - subjects
     deltas *= deltas
     total = deltas[0]

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import functools
 import json
 import math
 import os
@@ -171,11 +173,18 @@ def _load_preset(relative: str) -> dict:
     return json.loads((resources.files("swarmopt") / "presets" / relative).read_text())
 
 
+@functools.cache
+def _abco_presets() -> dict:
+    """presets/abco.json, parsed once per process; read it through abco_preset."""
+    return _load_preset("abco.json")
+
+
 def abco_preset(function_id: str) -> dict:
     """The bundled colony parameters tuned for one function, in config
-    spelling; empty for a function that runs on AbcoConfig's defaults."""
+    spelling; empty for a function that runs on AbcoConfig's defaults. A
+    fresh dict per call, so no caller can change the shared table."""
     spec_of(function_id)
-    return _load_preset("abco.json").get(function_id, {})
+    return dict(_abco_presets().get(function_id, {}))
 
 
 def _resolve(cls, location: str, layers, **fixed):
@@ -538,6 +547,15 @@ def _parse_param(text: str) -> tuple[str, object]:
         return key, value
 
 
+def _prepare_outputs(*paths) -> None:
+    """Make each output file's directory, and refuse one that names a
+    directory itself, before any run rather than after the last."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        path.parent.mkdir(parents=True, exist_ok=True)
+
+
 def _cmd_list(_args) -> int:
     print("functions:", *(f"  {name}" for name in list_functions()), sep="\n")
     print("algorithms:", *(f"  {name}" for name in ALGORITHMS), sep="\n")
@@ -559,7 +577,7 @@ def _cmd_run(args) -> int:
         "functions": [args.function], "algorithms": [args.algorithm],
         args.algorithm: block}, "run")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        _prepare_outputs(args.out)
     records = run_experiment(cfg)
     if args.out:
         write_results(records, args.out)
@@ -575,12 +593,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [Path(args.out_dir) / f"{cfg.experiment_id}_{name}.csv"
+             for name in ("records", "error_summary", "runtime_summary")]
+    _prepare_outputs(*paths)
     records = run_experiment(cfg)
-    records_path = out_dir / f"{cfg.experiment_id}_records.csv"
-    error_path = out_dir / f"{cfg.experiment_id}_error_summary.csv"
-    runtime_path = out_dir / f"{cfg.experiment_id}_runtime_summary.csv"
+    records_path, error_path, runtime_path = paths
     write_results(records, records_path)
     write_summary(records, "error", error_path)
     write_summary(records, "runtime_seconds", runtime_path)

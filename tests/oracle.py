@@ -4,9 +4,9 @@ Every exactness test compares swarmopt against a definition here, and no
 test module imports another (tests/test_layout.py checks both). Each
 definition is written plainly, member by member and in Python floats. The
 one exception is the colony's squared norm, squared_norm: the BLAS dot
-`v @ v`, which _step_toward and explore take, is defined here once. No
+`v @ v`, which exploit's step and explore take, is defined here once. No
 definition calls the swarmopt function it is the reference for:
-_step_toward, tumble_step, k_nearest, rank_neighbours, euclidean,
+exploit_stage, tumble_step, k_nearest, rank_neighbours, euclidean,
 repair_bounds and rank_weights are not imported.
 """
 

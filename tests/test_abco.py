@@ -110,20 +110,40 @@ def test_checkpoint_period():
 
 # --- movement primitives ---------------------------------------------------
 
-def test_move_toward_unit_step():
-    assert np.allclose(abco._step_toward(np.zeros(2), np.array([3.0, 0.0]), 1.0), (1.0, 0.0))
+def exploit_two(current, target, step, space=None, stage=exploit_stage):
+    """Member 0 at `current` stepping toward member 1's memory at `target`,
+    the only neighbour and a better one, in one exploit pass; member 1
+    holds. Returns member 0's landing and the snapshot after the pass."""
+    current, target = np.array(current, dtype=float), np.array(target, dtype=float)
+    space = space or SearchSpace(len(current), -20.0, 20.0)
+    state = fresh_state(Colony.fresh(np.array([current, target]), np.array([1.0, 0.0])))
+    rng = RngStream(7)
+    cfg = AbcoConfig(size=2, neighbor_count=1, exploit_steps=1, step_size=step)
+    stage(state, cfg, lambda p: 0.5, space, rng)
+    return state.population.positions[0], snapshot(state, rng)
 
 
-def test_move_toward_lands_without_overshoot():
-    assert np.array_equal(abco._step_toward(np.zeros(2), np.array([0.5, 0.0]), 1.0), (0.5, 0.0))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exploit_steps_toward_its_target_and_never_past_it(dim):
+    pad = [0.0] * (dim - 2)
+    assert np.allclose(exploit_two([0.0, 0.0, *pad], [3.0, 0.0, *pad], 1.0)[0], (1.0, 0.0, *pad))
+    assert np.array_equal(exploit_two([0.0, 0.0, *pad], [0.5, 0.0, *pad], 1.0)[0],
+                          (0.5, 0.0, *pad))
+    assert np.array_equal(exploit_two([2.0, 2.0, *pad], [2.0, 2.0, *pad], 1.0)[0],
+                          (2.0, 2.0, *pad))
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        current, target = rng.uniform(-5, 5, (2, dim))
+        step = float(rng.uniform(0.01, 3.0))
+        moved = exploit_two(current, target, step)[0]
+        assert np.linalg.norm(target - moved) <= np.linalg.norm(target - current) + 1e-12
+        assert np.linalg.norm(moved - current) <= step + 1e-12
 
 
-def test_move_toward_identity():
-    assert np.array_equal(abco._step_toward(np.full(2, 2.0), np.full(2, 2.0), 1.0), (2.0, 2.0))
-
-
-def test_move_toward_is_numpys_step_bit_for_bit():
-    # The reference is the oracle's move_step, in both of its branches.
+def test_exploit_step_is_the_oracles_move_step_bit_for_bit():
+    # Both branches of the oracle's move_step, and its reach boundary, at
+    # d = 2 (exploit's plane path) and every other d up to 10 (its general
+    # path); scales 10^-3 to 10 keep every landing inside the box.
     rng = np.random.default_rng(41)
     branches = {True: 0, False: 0}
     for dim in range(1, 11):
@@ -135,17 +155,41 @@ def test_move_toward_is_numpys_step_bit_for_bit():
                 target = current.copy()
             distance = math.sqrt(squared_norm(target - current))
             step = distance if case == 1 else float(rng.uniform(0.01, 3.0))
-            reaches = distance <= step
-            moved = abco._step_toward(current, target, step)
-            assert type(moved) is list and all(type(x) is float for x in moved)
-            assert np.array(moved).tobytes() == np.array(
-                move_step(current, target, step)).tobytes(), (dim, case)
-            branches[reaches] += 1
+            moved, after = exploit_two(current, target, step)
+            assert moved.tobytes() == np.array(move_step(current, target, step)).tobytes(), (dim, case)
+            assert after == exploit_two(current, target, step, stage=reference_exploit)[1]
+            branches[distance <= step] += 1
     assert min(branches.values()) > 500
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("current, target, expected", [
+    ((-4.0, 0.0), (-6.0, 0.0), (-5.0, 0.0)),    # a step onto lower
+    ((0.0, 4.0), (0.0, 6.0), (0.0, 5.0)),       # a step onto upper
+    ((4.5, -4.5), (5.0, -5.0), (5.0, -5.0)),    # the target, on both bounds
+    ((-4.5, 0.0), (-6.5, 0.0), None),           # a step past lower
+    ((1.0, 4.5), (1.0, 6.5), None),             # a step past upper
+])
+def test_exploit_repairs_only_a_landing_past_a_bound(monkeypatch, dim, current, target, expected):
+    # Unit steps in the box [-5, 5]; a landing on a bound is inside it.
+    pad = (0.0,) * (dim - 2)
+    current, target = (*current, *pad), (*target, *pad)
+    space = SearchSpace(dim, -5.0, 5.0)
+    counts = counting_repairs(monkeypatch, abco)
+    moved, after = exploit_two(current, target, 1.0, space)
+    assert after == exploit_two(current, target, 1.0, space, reference_exploit)[1]
+    untouched = RngStream(7).repairs.bit_generator.state
+    if expected is None:
+        assert counts == [1] and after[6] != untouched
+        assert inside(space, moved)
+    else:
+        assert counts == [] and after[6] == untouched
+        assert moved.tobytes() == np.array(move_step(current, target, 1.0)).tobytes()
+        assert np.array_equal(moved, (*expected, *pad))
+
+
 def test_dot_norm_equals_matmul_norm():
-    # _step_toward's offset.dot(offset) is the BLAS call that the oracle's
+    # Exploit's offset.dot(offset) is the BLAS call that the oracle's
     # squared_norm, offset @ offset, makes: they agree bit for bit.
     rng = np.random.default_rng(43)
     for dim in range(1, 11):
@@ -154,19 +198,6 @@ def test_dot_norm_equals_matmul_norm():
         dots = np.array([offset.dot(offset) for offset in offsets])
         matmuls = np.array([squared_norm(offset) for offset in offsets])
         assert dots.tobytes() == matmuls.tobytes(), dim
-
-
-def test_move_toward_never_passes_target():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        current = rng.uniform(-5, 5, 3)
-        target = rng.uniform(-5, 5, 3)
-        step = float(rng.uniform(0.01, 3.0))
-        moved = abco._step_toward(current, target, step)
-        before = np.linalg.norm(target - current)
-        after = np.linalg.norm(target - moved)
-        assert after <= before + 1e-12
-        assert np.linalg.norm(moved - current) <= step + 1e-12
 
 
 def test_tumble_step_has_exact_norm():

@@ -120,6 +120,19 @@ def test_bundled_preset_pins_each_functions_colony_config(monkeypatch):
     assert abco_preset("sphere") == {"N_tum": 3, "s": 0.5, "k": 15}
 
 
+def test_load_config_parses_the_colony_presets_once(monkeypatch):
+    reads, load = [], harness._load_preset
+    monkeypatch.setattr(harness, "_load_preset", lambda name: reads.append(name) or load(name))
+    harness._abco_presets.cache_clear()
+    for name in harness.BUNDLED_EXPERIMENTS:
+        load_config(name)
+    assert reads.count("abco.json") == 1
+    # Each lookup is a fresh dict, so a caller's edit reaches no later one.
+    abco_preset("sphere")["k"] = 1
+    assert abco_preset("sphere")["k"] == 15
+    assert load_config("experiment2").abco["sphere"].neighbor_count == 15
+
+
 def test_bundled_preset_keys_are_registry_functions_with_valid_blocks():
     # .get(fn, {}) never raises, so a misspelt id would drop its tuning silently.
     table = harness._load_preset("abco.json")
@@ -759,6 +772,15 @@ def test_cli_run_makes_the_out_directory_before_any_run(tmp_path, monkeypatch, c
     assert len(configs) == 1
 
 
+def test_cli_run_refuses_an_out_that_is_a_directory_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    configs = captured_runs(monkeypatch)
+    assert cli_main(["run", "--algorithm", "pso", "--function", "booth", "--iters", "2",
+                     "--runs", "2", "--out", str(tmp_path)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert configs == []
+
+
 def test_cli_run_param_overrides_reach_the_optimizer(tmp_path, capsys):
     out = tmp_path / "cell.csv"
     code = cli_main([
@@ -861,6 +883,17 @@ def test_cli_experiment_refuses_an_out_dir_that_is_a_file_before_any_run(
     assert cli_main(["experiment", "--config", str(tiny_config(tmp_path)),
                      "--out-dir", str(out_dir)]) == 1
     assert "File exists" in capsys.readouterr().err
+    assert configs == []
+
+
+@pytest.mark.parametrize("name", ["records", "error_summary", "runtime_summary"])
+def test_cli_experiment_refuses_an_output_that_is_a_directory_before_any_run(
+        tmp_path, monkeypatch, capsys, name):
+    configs = captured_runs(monkeypatch)
+    (tmp_path / f"tiny_{name}.csv").mkdir()
+    assert cli_main(["experiment", "--config", str(tiny_config(tmp_path)),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
     assert configs == []
 
 

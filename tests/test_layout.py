@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-CHECKED = {"_step_toward", "tumble_step", "k_nearest", "rank_neighbours", "euclidean",
+CHECKED = {"exploit_stage", "tumble_step", "k_nearest", "rank_neighbours", "euclidean",
            "repair_bounds", "rank_weights"}
 
 
