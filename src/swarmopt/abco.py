@@ -5,8 +5,9 @@ personal bests and the checkpoint snapshot. Every stage reads and writes
 those arrays directly. The stages minimise: core.drive, which seeds the
 colony and keeps the champion, history and result, hands run_abco the
 evaluator from core.minimised, so a max-mode objective reaches them
-negated. Each iteration runs the three stages in order, offers the best
-personal best as champion, then checks the stagnation checkpoint.
+negated. Each iteration runs the three stages in order, offering the best
+personal best as champion (Run.offer_best) before and after reproduce,
+then checks the stagnation checkpoint.
 Search randomness is consumed in a fixed order: the seeding batch; then
 per explore round one (size, dim) batch of direction normals, then a
 redraw of each all-zero row in row order; reproduce draws only when a
@@ -16,8 +17,10 @@ rows that follow it (see _tumble_steps). Repairs draw from the stream's
 repair generator, row by row: for an explore round in one repair_bounds
 call, which draws only if the round left the box; in exploit per step.
 
-numpy fills a batch with the same sequential normals as single draws, so
-a round without zero rows draws what one tumble_step per member would.
+tumble_step is _tumble_steps for one member and one round, then a
+repair. numpy fills a batch with the same sequential normals as single
+draws, so a round without zero rows draws what one tumble_step per member
+would.
 Exploit builds each block of _BLOCK_SIZE members' rows from a (d, n) copy
 of the positions at the block's start, and the members' coordinates as
 Python floats from one tolist. A move stays a list of Python floats up to
@@ -172,29 +175,24 @@ def _tally(diagnostics: dict, **counts: int):
 def tumble_step(
     position: np.ndarray, cfg: AbcoConfig, space: SearchSpace, rng: RngStream
 ) -> np.ndarray:
-    """Where `position` lands after one tumble: a step_size hop in a random direction.
+    """Where `position` lands after one tumble: _tumble_steps' hop for one
+    member and one round, repaired into bounds on the repair stream."""
+    step = _tumble_steps(cfg.step_size, 1, 1, space.dim, rng)[0, 0]
+    return repair_bounds(position + step, space, rng)
 
-    The direction comes from normalised standard normals, redrawn in the
-    (measure-zero) case of an all-zero draw, so it is isotropic in any
-    dimension. The result is repaired into bounds, on the repair stream.
+
+def _tumble_steps(step_size: float, rounds: int, size: int, dim: int,
+                  rng: RngStream) -> np.ndarray:
+    """(rounds, size, dim) tumble displacements: step_size hops along random directions.
+
+    Each direction is a draw of standard normals, normalised, and redrawn in
+    the (measure-zero) case of an all-zero draw, so it is isotropic in any
+    dimension. The stream is the round-by-round one: per round a (size, dim)
+    batch of directions, then each all-zero row redrawn in order. All rounds
+    are one draw; only if a row's squared norm is zero is it re-read that
+    way, a redraw taking the draw's next row and, past its end, a new one.
     """
-    norm = 0.0
-    while norm == 0.0:
-        direction = rng.standard_normal(space.dim)
-        norm = math.sqrt(direction @ direction)
-    moved = position + (cfg.step_size / norm) * direction
-    return repair_bounds(moved, space, rng)
-
-
-def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.ndarray:
-    """An explore stage's (rounds, size, dim) tumble displacements, tumble_step's per row.
-
-    The stream is the round-by-round one: per round a (size, dim) batch of
-    directions, then each all-zero row redrawn in order. All rounds are one
-    draw; only if a row's squared norm is zero is it re-read that way, a
-    redraw taking the draw's next row and, past its end, a new one.
-    """
-    directions = rng.standard_normal((cfg.explore_steps * cfg.tumble_steps, size, dim))
+    directions = rng.standard_normal((rounds, size, dim))
     # Stacked matmul gives the same squared norm as direction @ direction.
     squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
     if not squares.all():
@@ -202,13 +200,11 @@ def _tumble_steps(cfg: AbcoConfig, size: int, dim: int, rng: RngStream) -> np.nd
                                map(rng.standard_normal, itertools.repeat(dim)))
         for batch in directions:
             batch[...] = [next(rows) for _ in range(size)]
-            squared = (batch[:, None, :] @ batch[:, :, None]).ravel()
-            for row in np.flatnonzero(squared == 0.0):
-                while squared[row] == 0.0:
-                    batch[row] = next(rows)
-                    squared[row] = batch[row] @ batch[row]
+            for row in batch:
+                while row @ row == 0.0:
+                    row[...] = next(rows)
         squares = (directions[..., None, :] @ directions[..., :, None])[..., 0, 0]
-    return (cfg.step_size / np.sqrt(squares))[..., None] * directions
+    return (step_size / np.sqrt(squares))[..., None] * directions
 
 
 def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> RunState:
@@ -227,7 +223,8 @@ def explore_stage(state: RunState, cfg: AbcoConfig, objective, space, rng) -> Ru
     """
     colony = state.population
     size = len(colony)
-    steps = _tumble_steps(cfg, size, space.dim, rng)
+    steps = _tumble_steps(cfg.step_size, cfg.explore_steps * cfg.tumble_steps, size,
+                          space.dim, rng)
     chained = getattr(objective, "batch", None) is not None
     while len(steps):
         rounds = steps if chained else steps[:1]
@@ -439,38 +436,32 @@ def early_stop_check(state: RunState, cfg: AbcoConfig) -> bool:
     return False
 
 
-def _offer_best_memory(state: RunState):
-    """Offer the colony's best personal best as the run's champion."""
-    colony = state.population
-    best = int(quality_key(colony.best_values).argmin())
-    state.offer(colony.best_values.item(best), colony.best_positions[best])
-
-
 def run_abco(objective, cfg: AbcoConfig, rng: RngStream) -> OptimizerResult:
     """Seed the colony, iterate the three stages, report the best find.
 
     `objective` is an ObjectiveSpec; its evaluator and space drive the run
     and its mode decides the direction of improvement. core.drive seeds
     the colony and keeps the champion and history; the colony's best
-    personal best is offered before and after reproduction each iteration,
-    so the champion is the best value ever evaluated. A population of one
-    warns once per run that exploit is skipped.
+    personal best is offered (Run.offer_best) before and after reproduction
+    each iteration, so the champion is the best value ever evaluated. A
+    population of one warns once per run that exploit is skipped.
     """
     space = objective.space
     if cfg.size < 2:
         logger.warning("exploit stage skipped: population of one has no neighbours")
 
     def search(state, evaluate, positions, values):
-        # The stages write to the colony's positions, and the evaluator may keep the seeding batch.
-        state.population = Colony.fresh(positions.copy(), values)
+        # The stages write to the colony's positions, and the evaluator may keep the seeding
+        # batch. Every stage writes the colony in place, so `colony` stays the run's colony.
+        colony = state.population = Colony.fresh(positions.copy(), values)
         for state.iteration in range(1, cfg.iterations + 1):
             explore_stage(state, cfg, evaluate, space, rng)
             exploit_stage(state, cfg, evaluate, space, rng)
             # Reproduction culls by current value, which can drop the member
             # holding the best personal record, so offer it first.
-            _offer_best_memory(state)
+            state.offer_best(colony.best_values, colony.best_positions)
             reproduce_stage(state, cfg, evaluate, space, rng)
-            _offer_best_memory(state)
+            state.offer_best(colony.best_values, colony.best_positions)
             yield
             if early_stop_check(state, cfg):
                 state.early_stopped = True

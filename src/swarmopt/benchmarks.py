@@ -11,8 +11,11 @@ point's Python floats with `math`; the evaluator's `batch` attribute runs
 it on the float64 columns of an (m, d) matrix with numpy ufuncs, except
 exp, which calls math.exp per element. It returns the (m,) values bit for
 bit as m scalar calls do, and raises OverflowError where they do; only a
-nan's sign may differ, and sin or cos of ±inf gives nan, not ValueError.
-core.evaluate_rows is how the optimizers use it.
+nan's sign may differ, sin or cos of ±inf gives nan, not ValueError, and
+numpy's + - * warn (RuntimeWarning) on overflow and on inf - inf, where
+Python floats stay silent, so with warnings as errors the column form
+raises where the scalar form returns (goldstein_price at (1e-160, 1e149),
+booth at (inf, -inf)). core.evaluate_rows is how the optimizers use it.
 """
 
 from __future__ import annotations

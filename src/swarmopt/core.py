@@ -15,7 +15,8 @@ call, which draws all of its resampled coordinates at once in the order
 one scalar draw per coordinate, row by row, would take them. Neighbours
 rank in (distance, index) order, nan last (rank_neighbours). drive runs
 every optimizer under one protocol (seeding, champion, history, result);
-each supplies only its iteration step, and Run.offer is the champion rule.
+each supplies only its iteration step. Run.offer is the champion rule, and
+Run.offer_best offers a batch's first row with the lowest quality key.
 """
 
 from __future__ import annotations
@@ -293,19 +294,26 @@ class Run:
     diagnostics: dict = field(default_factory=dict)
 
     def offer(self, value: float, position) -> None:
-        """Make (value, position) the champion if its quality key is strictly lower:
-        ties keep the first position, and `reported` is a new float only on improvement."""
-        if quality_key(value) < quality_key(self.global_best_value):
+        """Make (value, position) the champion if there is none yet or its quality
+        key is strictly lower: ties keep the first position, and `reported` is a
+        new float only when the champion changes."""
+        if (self.global_best_position is None
+                or quality_key(value) < quality_key(self.global_best_value)):
             self.global_best_value = value
             self.global_best_position = position.copy()
             self.reported = self.sign * value
+
+    def offer_best(self, values: np.ndarray, positions: np.ndarray) -> None:
+        """Offer the first of the (m,) `values` with the lowest quality key, at its row."""
+        best = int(quality_key(values).argmin())
+        self.offer(values.item(best), positions[best])
 
 
 def drive(objective, size: int, rng: RngStream, search, run: Run | None = None) -> OptimizerResult:
     """One run of an optimizer on ObjectiveSpec `objective`: seed, iterate, report.
 
     drive minimises the objective, draws and evaluates the seeding batch of
-    `size` points first, and makes its lowest quality key the champion even
+    `size` points first, and offers its best row, which Run.offer crowns even
     if no value is finite. The generator `search(run, evaluate, positions,
     values)` gets `run` (a fresh Run by default), the minimised evaluator and
     that batch; it counts its evaluations, offers its finds, and yields once
@@ -316,11 +324,8 @@ def drive(objective, size: int, rng: RngStream, search, run: Run | None = None) 
     evaluate, sign = minimised(objective)
     positions, values = seed_population(objective.space, size, evaluate, rng)
     run = Run() if run is None else run
-    champion = int(quality_key(values).argmin())
     run.sign, run.evaluations = sign, size
-    run.global_best_value = values.item(champion)
-    run.global_best_position = positions[champion].copy()
-    run.reported = sign * run.global_best_value
+    run.offer_best(values, positions)
     history = run.diagnostics["best_history"] = [run.reported]
     for _ in search(run, evaluate, positions, values):
         history.append(run.reported)

@@ -41,8 +41,8 @@ Runs are independent and may execute in parallel; SWARM_OPT_THREADS caps the
 worker count (0 or unset picks the CPU count, and a negative count raises
 ConfigurationError). Determinism does not depend on scheduling: each run's
 seed is derived up front from (base_seed, function, algorithm, run_index)
-and records are sorted into canonical function-major order before any
-output.
+and records come back in canonical function-major order, the order the
+tasks are built in.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
@@ -112,11 +112,10 @@ class ExperimentConfig:
 class RunRecord:
     """One optimizer run, in the shape of one results-CSV row.
 
-    error is |best_value - true_minimum|. failed marks a run that raised
-    (its numeric result fields hold nan/zero) or that reported a nan best;
-    failed runs are excluded from statistics. The flag itself is not a CSV
-    column: a nan best_value marks the row, and read_results restores the
-    flag from it by the same rule.
+    error is |best_value - true_minimum|. A run that raised (its numeric
+    result fields hold nan/zero) or that reported a nan best has a nan
+    best_value, which is what `failed` reads, in memory and read back from
+    CSV alike; failed runs are excluded from statistics.
     """
 
     experiment_id: str
@@ -132,11 +131,14 @@ class RunRecord:
     iterations_executed: int
     early_stopped: bool
     runtime_seconds: float
-    failed: bool = field(default=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        return math.isnan(self.best_value)
 
 
 # One records-CSV column per RunRecord field, in declaration order.
-_CSV_FIELDS = [f for f in fields(RunRecord) if f.name != "failed"]
+_CSV_FIELDS = fields(RunRecord)
 CSV_HEADER = ",".join(f.name for f in _CSV_FIELDS)
 _CSV_PARSERS = {"str": str, "int": int, "float": float,
                 "bool": {"true": True, "false": False}.__getitem__}
@@ -360,7 +362,6 @@ def _execute_run(task) -> RunRecord:
         iterations_executed=0,
         early_stopped=False,
         runtime_seconds=0.0,
-        failed=True,
     )
     try:
         result = _RUNNERS[algorithm_id](objective, cfg, RngStream(seed))
@@ -372,7 +373,6 @@ def _execute_run(task) -> RunRecord:
             iterations_executed=result.iterations_executed,
             early_stopped=result.early_stopped,
             runtime_seconds=result.runtime_seconds,
-            failed=math.isnan(result.best_value),
         )
     except Exception as exc:  # noqa: BLE001 - one bad run must not kill the sweep
         print(f"warning: {function_id}/{algorithm_id} run {run_index} failed: "
@@ -399,8 +399,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
     Seeds are derived up front, so results do not depend on how many
     workers execute the runs. Failed runs are flagged and the sweep
-    continues. Records come back sorted function-major, then algorithm,
-    then run index, following the config's own ordering.
+    continues. Records come back function-major, then algorithm, then run
+    index, following the config's own ordering: the tasks are built in that
+    order, and both paths return their results in task order.
     """
     tasks = []
     for function_id in cfg.functions:
@@ -414,17 +415,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 
     workers = _worker_count(len(tasks))
     if workers == 1:
-        records = [_execute_run(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # a serial sweep never imports it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute_run, tasks))
-
-    function_rank = {fn: i for i, fn in enumerate(cfg.functions)}
-    algorithm_rank = {algo: i for i, algo in enumerate(cfg.algorithms)}
-    records.sort(key=lambda r: (function_rank[r.function],
-                                algorithm_rank[r.algorithm], r.run_index))
-    return records
+        return [_execute_run(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # a serial sweep never imports it
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_execute_run, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +464,7 @@ def read_results(in_path) -> list[RunRecord]:
                 except (ValueError, KeyError):
                     raise ValueError(f"{where}: {declared.name} expects "
                                      f"{declared.type}, got {text!r}") from None
-            records.append(RunRecord(**values, failed=math.isnan(values["best_value"])))
+            records.append(RunRecord(**values))
     return records
 
 
@@ -618,7 +612,7 @@ def _exit_status(records) -> int:
 def _cmd_table(args) -> int:
     records = read_results(args.infile)
     print(render_table(records), end="")
-    return 0
+    return _exit_status(records)
 
 
 def _build_parser() -> argparse.ArgumentParser:

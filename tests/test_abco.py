@@ -538,6 +538,29 @@ def test_explore_redraws_zero_directions_after_the_batch_in_row_order():
         assert rng.repairs.bit_generator.state == RngStream(5).repairs.bit_generator.state
 
 
+def test_tumble_step_is_one_member_of_the_oracle_round():
+    # Steps of up to a box width and more send many landings outside the
+    # box. In each dimension a second case draws a zero first direction,
+    # which both redraw.
+    left = 0
+    for case in range(60):
+        draw = np.random.default_rng(9_300 + case)
+        dim = case % 6 + 1
+        space = SearchSpace(dim, -2.0, 3.0)
+        cfg = AbcoConfig(step_size=float(draw.uniform(0.5, 5.0)))
+        position = draw.uniform(space.lower, space.upper, dim)
+        zero = [RngStream(case).standard_normal(dim)] if case % 12 >= 6 else np.empty((0, dim))
+        rng, reference = ZeroDirectionStream(case, zero), ZeroDirectionStream(case, zero)
+        moved = tumble_step(position, cfg, space, rng)
+        expected = tumble_round(position[None], cfg.step_size, space, reference)[0]
+        assert moved.tobytes() == expected.tobytes(), case
+        assert rng.zeroed == reference.zeroed == len(zero)
+        assert rng.generator.bit_generator.state == reference.generator.bit_generator.state
+        assert rng.repairs.bit_generator.state == reference.repairs.bit_generator.state
+        left += rng.repairs.bit_generator.state != RngStream(case).repairs.bit_generator.state
+    assert 10 < left < 50
+
+
 # --- exploit ---------------------------------------------------------------
 
 def tilted(p):

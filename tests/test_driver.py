@@ -101,3 +101,27 @@ def test_offer_keeps_the_first_position_on_a_tie_and_reported_until_it_improves(
     for value in (math.inf, -math.inf, math.nan):
         run.offer(value, np.ones(2))
         assert np.array_equal(run.global_best_position, position)
+
+
+def test_offer_best_crowns_the_first_lowest_key_and_a_fresh_run_takes_any_first_offer():
+    rows = np.arange(10.0).reshape(5, 2)
+    run = Run()
+    run.offer_best(np.full(5, math.nan), rows)
+    assert math.isnan(run.global_best_value)
+    assert np.array_equal(run.global_best_position, rows[0])
+
+    # Finite rows beat nan and ±inf, and a tie keeps the first row.
+    run.offer_best(np.array([math.inf, 3.0, math.nan, -math.inf, 3.0]), rows)
+    assert run.global_best_value == 3.0 == run.reported
+    assert np.array_equal(run.global_best_position, rows[1])
+    run.offer_best(np.array([3.0, math.nan, 3.0, 3.0, math.inf]), rows)
+    assert np.array_equal(run.global_best_position, rows[1])
+    run.offer_best(np.array([math.nan, 4.0, -1.0, 2.0, -1.0]), rows)
+    assert run.global_best_value == -1.0
+    assert np.array_equal(run.global_best_position, rows[2])
+
+    # A fresh run's first offer is its champion, whatever the value.
+    run = Run(sign=-1.0)
+    run.offer(math.inf, rows[3])
+    assert run.global_best_value == math.inf and run.reported == -math.inf
+    assert np.array_equal(run.global_best_position, rows[3])

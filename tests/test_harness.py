@@ -496,7 +496,7 @@ def test_failed_rows_survive_the_round_trip(tmp_path):
         experiment_id="x", function="booth", algorithm="pso", pop_size=5,
         run_index=0, seed=1, best_value=float("nan"), true_minimum=0.0,
         error=float("nan"), evaluations=0, iterations_executed=0,
-        early_stopped=False, runtime_seconds=0.0, failed=True,
+        early_stopped=False, runtime_seconds=0.0,
     )
     out = tmp_path / "failed.csv"
     write_results([record], out)
@@ -664,7 +664,7 @@ def varied_records():
             pop_size=size, run_index=index, seed=index, best_value=best,
             true_minimum=-1.5, error=math.nan if failed else error,
             evaluations=10 + index, iterations_executed=5, early_stopped=index % 2 == 0,
-            runtime_seconds=0.01 * (1 + index % 3) / 3.0, failed=failed,
+            runtime_seconds=0.01 * (1 + index % 3) / 3.0,
         ))
     return rows
 
@@ -692,6 +692,20 @@ def test_summaries_and_table_are_byte_identical_on_a_fixed_record_set(tmp_path):
     assert [tuple(row.split(",")[:2]) for row in rows] == [
         ("booth", "abco"), ("booth", "aco"), ("booth", "pso"),
         ("himmelblau", "aco"), ("himmelblau", "pso"), ("easom", "pso")]
+
+
+def test_cli_table_says_how_many_runs_failed(tmp_path, capsys):
+    records = varied_records()
+    out = tmp_path / "records.csv"
+    write_results(records, out)
+    assert cli_main(["table", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == render_table(records)
+    assert captured.err == f"{sum(r.failed for r in records)} runs failed\n"
+
+    write_results([r for r in records if r.failed], out)
+    assert cli_main(["table", "--in", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(" runs failed\n")
 
 
 # --- cli ---------------------------------------------------------------------
