@@ -109,7 +109,7 @@ class AbcoConfig:
     """
 
     size: int = param(25, key="size", check=at_least(1), integer=True)
-    iterations: int = param(100, check=at_least(1))
+    iterations: int = param(100, check=at_least(1), integer=True)
     step_size: float = param(1.0, key="N_s", check=positive)
     explore_steps: int = param(4, key="N_explor", check=at_least(1), integer=True)
     exploit_steps: int = param(1, key="N_explt", check=non_negative, integer=True)

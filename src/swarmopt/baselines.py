@@ -64,7 +64,7 @@ class PsoConfig:
     """
 
     size: int = param(25, key="size", check=at_least(1), integer=True)
-    iterations: int = param(100, check=at_least(1))
+    iterations: int = param(100, check=at_least(1), integer=True)
     local_coefficient: float = param(1.9, key="c1", check=positive)
     global_coefficient: float = param(1.9, key="c2", check=positive)
     inertia_min: float = param(0.4, key="w_min", check=positive)
@@ -85,7 +85,7 @@ class AcorConfig:
     """
 
     size: int = param(25, key="size", check=at_least(2), integer=True)
-    iterations: int = param(100, check=at_least(1))
+    iterations: int = param(100, check=at_least(1), integer=True)
     sample_count: int | None = param(None, key="sample_count", check=at_least(1), integer=True)
     intent_factor: float = param(0.5, key="intent_factor", check=positive)
     deviation_ratio: float = param(1.0, key="zeta", check=positive)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -66,7 +67,7 @@ def param(default, *, key: str | None = None, check=None, integer: bool = False)
     without one cannot be set from a config block. `check` is one of the
     checks below, run by check_fields: a function of (value, all field
     values, spell) returning whether the value holds and what was expected.
-    `integer` marks a count, for which a config block must give an integer.
+    `integer` marks a count, which must be a numbers.Integral.
     """
     metadata = {"check": check, "integer": integer}
     if key is not None:
@@ -98,7 +99,7 @@ def non_negative(value, values, spell):
 
 @functools.cache
 def _declared_checks(cls) -> tuple:
-    return tuple((f.name, f.metadata["check"], f.default is None)
+    return tuple((f.name, f.metadata["check"], f.default is None, f.metadata["integer"])
                  for f in fields(cls) if f.metadata.get("check") is not None)
 
 
@@ -108,14 +109,20 @@ def check_fields(cls, values: dict, spell=lambda name: name) -> None:
     `values` maps every field name to its value. Fields are checked in
     declaration order, and the first failure raises ConfigurationError
     naming the field through `spell`, so a caller can report the key the
-    user wrote. A None value passes where the field's default is None; a
-    float must be finite.
+    user wrote. A None value passes where the field's default is None.
+    Any other value must be a numbers.Real and not a bool, and a count a
+    numbers.Integral (numpy scalars are both); a value that is not Integral
+    must be finite.
     """
-    for name, check, optional in _declared_checks(cls):
+    for name, check, optional, integer in _declared_checks(cls):
         value = values[name]
         if value is None and optional:
             continue
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{spell(name)} expects a number, got {value!r}")
+        if integer and not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{spell(name)} expects an integer, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ConfigurationError(f"{spell(name)} must be finite, got {value}")
         holds, expectation = check(value, values, spell)
         if not holds:

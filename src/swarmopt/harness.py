@@ -30,9 +30,11 @@ population_overrides.<fn> as size; pso and aco are one block each.
 `swarmopt run` builds a one-cell config, {experiment_id: run-<algo>-<fn>,
 base_seed: --seed, iter: --iters, runs_per_cell: --runs, functions: [fn],
 algorithms: [algo], <algo>: {--param..., size: --pop-size}}, and checks
-and runs it as a file's. An error names the key by the block that gave it
-(abco.s, not abco.sphere.s); a field no block set goes by its key. Every
-float must be finite. Three configs ship with the package (experiment1/2/3:
+and runs it as a file's. An unknown key is refused where it is given;
+values are checked by core.check_fields once the config is resolved, and
+an error names the key by the block that set it last (abco.s, not
+abco.sphere.s); a field no block set goes by its key. Every float must be
+finite. Three configs ship with the package (experiment1/2/3:
 all algorithms at population 100, all at 25, and colony 25, sphere's 15,
 vs baselines 100) along with presets/abco.json, the colony parameters tuned
 for himmelblau and sphere.
@@ -85,14 +87,6 @@ ALGORITHMS = ("abco", "pso", "aco")
 
 BUNDLED_EXPERIMENTS = ("experiment1", "experiment2", "experiment3")
 
-# Per config class: config-file key -> field, for the fields a config block
-# may set, read off the field declarations.
-_FIELDS = {
-    cls: {f.metadata["key"]: f for f in fields(cls) if "key" in f.metadata}
-    for cls in (AbcoConfig, PsoConfig, AcorConfig)
-}
-
-
 @dataclass
 class ExperimentConfig:
     """A fully resolved experiment: one optimizer config per cell."""
@@ -135,6 +129,10 @@ class RunRecord:
     @property
     def failed(self) -> bool:
         return math.isnan(self.best_value)
+
+    def __eq__(self, other):
+        # repr prints floats as write_results does, so nan fields compare equal.
+        return type(other) is RunRecord and repr(self) == repr(other)
 
 
 # One records-CSV column per RunRecord field, in declaration order.
@@ -193,29 +191,22 @@ def _resolve(cls, location: str, layers, **fixed):
     """Construct `cls` from `layers`, (name, block) pairs in config spelling
     where a later block wins, plus `fixed` field values.
 
-    Each key is checked where it is given: it must be known, and its value
-    a number, an integer for a count. A range error names a field by the
-    block that set it last (`abco.s`, `abco.sphere.s`); a field that no
-    block set goes by its config key.
+    An unknown key is refused in the block that gives it. Values are
+    checked by check_fields on the resolved config, so an error names a
+    field by the block that set it last (`abco.s`, `abco.sphere.s`); a
+    field that no block set goes by its config key.
     """
     values = {f.name: f.default for f in fields(cls)}
     spelling = {f.name: f.metadata.get("key", f.name) for f in fields(cls)}
+    keyed = {f.metadata["key"]: f.name for f in fields(cls) if "key" in f.metadata}
     for name, block in layers:
         if not isinstance(block, dict):
             raise ConfigurationError(f"{location}: {name} must be an object")
         for key, value in block.items():
-            declared = _FIELDS[cls].get(key)
-            if declared is None:
+            if key not in keyed:
                 raise ConfigurationError(f"{location}: unknown key {name}.{key}")
-            if value is not None or declared.default is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigurationError(
-                        f"{location}: {name}.{key} expects a number, got {value!r}")
-                if declared.metadata["integer"] and not isinstance(value, int):
-                    raise ConfigurationError(
-                        f"{location}: {name}.{key} expects an integer, got {value!r}")
-            values[declared.name] = value
-            spelling[declared.name] = f"{name}.{key}"
+            values[keyed[key]] = value
+            spelling[keyed[key]] = f"{name}.{key}"
     values.update(fixed)
     try:
         check_fields(cls, values, spelling.__getitem__)

@@ -283,6 +283,75 @@ def test_config_fields_must_be_finite(cls, name, value):
         cls(**{name: value})
 
 
+CONFIGS = {"abco": AbcoConfig, "pso": PsoConfig, "aco": AcorConfig}
+CHECKED_FIELDS = [(algorithm, f) for algorithm, cls in CONFIGS.items()
+                  for f in fields(cls) if f.metadata["check"] is not None]
+
+
+def test_a_checked_field_is_an_integer_exactly_when_annotated_int():
+    # Annotations are strings under `from __future__ import annotations`.
+    for algorithm, f in CHECKED_FIELDS:
+        assert f.metadata["integer"] == (f.type in ("int", "int | None")), f"{algorithm}.{f.name}"
+
+
+def refused_values(f):
+    """The values field `f` must refuse, each with its message's tail."""
+    cases = [(True, "expects a number, got True"), ("1", "expects a number, got '1'")]
+    if f.default is not None:
+        cases.append((None, "expects a number, got None"))
+    if f.metadata["integer"]:
+        cases.append((1.5, "expects an integer, got 1.5"))
+    else:
+        cases.append((math.inf, "must be finite, got inf"))
+    return cases
+
+
+REFUSALS = [(algorithm, f, value, tail) for algorithm, f in CHECKED_FIELDS
+            for value, tail in refused_values(f)]
+
+
+@pytest.mark.parametrize(
+    "algorithm,f,value,tail", REFUSALS,
+    ids=[f"{CONFIGS[a].__name__}.{f.name}={v!r}" for a, f, v, _ in REFUSALS])
+def test_construction_and_config_files_refuse_the_same_values(tmp_path, algorithm, f,
+                                                             value, tail):
+    with pytest.raises(ConfigurationError) as err:
+        CONFIGS[algorithm](**{f.name: value})
+    assert str(err.value) == f"{f.name} {tail}"
+    if "key" in f.metadata:
+        with pytest.raises(ConfigurationError) as err:
+            load_config(tiny_config(tmp_path, **{algorithm: {f.metadata["key"]: value}}))
+        assert str(err.value) == f"tiny.json: {algorithm}.{f.metadata['key']} {tail}"
+
+
+@pytest.mark.parametrize("algorithm,f", CHECKED_FIELDS,
+                         ids=[f"{CONFIGS[a].__name__}.{f.name}" for a, f in CHECKED_FIELDS])
+def test_construction_and_config_blocks_accept_numpy_scalars(algorithm, f):
+    scalar = np.int64 if f.metadata["integer"] else np.float64
+    value = scalar(5 if f.default is None else f.default)
+    assert getattr(CONFIGS[algorithm](**{f.name: value}), f.name) == value
+    if "key" in f.metadata:
+        cfg = harness._parse_config({
+            "experiment_id": "x", "base_seed": 1, "functions": ["booth"],
+            "algorithms": [algorithm], algorithm: {f.metadata["key"]: value}}, "run")
+        resolved = cfg.abco["booth"] if algorithm == "abco" else getattr(cfg, algorithm)
+        assert getattr(resolved, f.name) == value
+
+
+@pytest.mark.parametrize("bad", ["high", 5.0])
+def test_a_flat_value_that_every_function_overrides_is_never_checked(tmp_path, bad):
+    # A type, like a range, is judged on the resolved value.
+    path = tiny_config(tmp_path, abco={"s": bad, "booth": {"s": 0.5},
+                                       "himmelblau": {"s": 0.5}})
+    assert {c.survivor_fraction for c in load_config(path).abco.values()} == {0.5}
+
+
+def test_the_first_bad_field_in_declaration_order_is_named(tmp_path):
+    with pytest.raises(ConfigurationError) as err:
+        load_config(tiny_config(tmp_path, abco={"k": 1.5, "size": 2.5}))
+    assert str(err.value) == "tiny.json: abco.size expects an integer, got 2.5"
+
+
 def test_non_finite_values_are_rejected_from_files_and_params(tmp_path, capsys):
     with pytest.raises(ConfigurationError) as err:
         load_config(tiny_config(tmp_path, pso={"c1": math.inf}))
@@ -503,6 +572,22 @@ def test_failed_rows_survive_the_round_trip(tmp_path):
     loaded = read_results(out)
     assert loaded[0].failed
     assert math.isnan(loaded[0].best_value)
+
+
+def test_a_failed_record_equals_its_copy_and_its_read_back(tmp_path):
+    record = RunRecord(
+        experiment_id="x", function="booth", algorithm="abco", pop_size=5,
+        run_index=0, seed=1, best_value=float("nan"), true_minimum=0.0,
+        error=float("nan"), evaluations=0, iterations_executed=0,
+        early_stopped=False, runtime_seconds=0.0,
+    )
+    out = tmp_path / "failed.csv"
+    write_results([record], out)
+    assert record == replace(record, best_value=float("nan"), error=float("nan"))
+    assert read_results(out) == [record]
+    assert record != replace(record, seed=2)
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def nan_on_a_quarter(spec):
